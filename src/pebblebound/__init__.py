@@ -48,7 +48,6 @@ from .games import (
 )
 from .oracle import optimal_io
 from .bounds import (
-    HorizontalParams,
     SPartitionCertificate,
     Wavefront,
     analytic_horizontal_ub,

@@ -71,11 +71,16 @@ def min_dominator_size(cdag: Cdag, block: frozenset[int]) -> int:
     """
     if not block:
         return 0
-    sources = set(cdag.inputs)
-    if not sources:
+    if not cdag.inputs:
         return 0
-    flow = _VertexCut(cdag)
-    return flow.min_cut_size(sources, set(block))
+    net, idx, s, t = _split_network(cdag.vertices)
+    for v in cdag.inputs:
+        net.add_edge(s, 2 * idx[v], _Dinic.INF)
+    for w in block:
+        net.add_edge(2 * idx[w] + 1, t, _Dinic.INF)
+    for u, w in cdag.edges:
+        net.add_edge(2 * idx[u] + 1, 2 * idx[w], _Dinic.INF)
+    return net.max_flow(s, t)
 
 
 @dataclass(frozen=True)
@@ -256,12 +261,7 @@ class _Dinic:
             level = self._levels(s)
             if level[t] < 0:
                 return flow
-            it = [0] * len(self.graph)
-            while True:
-                pushed = self._dfs(s, t, self.INF, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
+            flow += self._blocking_flow(s, t, level)
 
     def _levels(self, s: int) -> list[int]:
         from collections import deque
@@ -277,20 +277,48 @@ class _Dinic:
                     dq.append(v)
         return level
 
-    def _dfs(self, u, t, pushed, level, it):
-        if u == t:
-            return pushed
-        while it[u] < len(self.graph[u]):
-            edge = self.graph[u][it[u]]
-            v, cap, rev = edge
-            if cap > 0 and level[v] == level[u] + 1:
-                d = self._dfs(v, t, min(pushed, cap), level, it)
-                if d > 0:
-                    edge[1] -= d
-                    self.graph[v][rev][1] += d
-                    return d
-            it[u] += 1
-        return 0
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
+        """Augment along level-graph paths until none is left.
+
+        Iterative, so path length is not limited by the recursion limit:
+        ``path`` holds the edges from s to the current node, an augmenting
+        path retreats to the tail of its first saturated edge, and a dead
+        end retreats one edge and skips it.
+        """
+        graph = self.graph
+        it = [0] * len(graph)
+        path: list[list[int]] = []
+        flow = 0
+        u = s
+        while True:
+            if u == t:
+                pushed = min(edge[1] for edge in path)
+                for edge in path:
+                    edge[1] -= pushed
+                    graph[edge[0]][edge[2]][1] += pushed
+                flow += pushed
+                k = next(i for i, edge in enumerate(path) if edge[1] == 0)
+                del path[k:]
+                u = path[-1][0] if path else s
+                continue
+            adj = graph[u]
+            nxt = level[u] + 1
+            i = it[u]
+            while i < len(adj):
+                edge = adj[i]
+                if edge[1] > 0 and level[edge[0]] == nxt:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(adj):
+                path.append(edge)
+                u = edge[0]
+            elif path:
+                path.pop()
+                u = path[-1][0] if path else s
+                it[u] += 1
+            else:
+                return flow
 
     def residual_reachable(self, s: int) -> set[int]:
         from collections import deque
@@ -306,32 +334,20 @@ class _Dinic:
         return seen
 
 
-class _VertexCut:
-    """Node-splitting helper for minimum vertex cuts between vertex sets."""
+def _split_network(vertices: Iterable[int]) -> tuple[_Dinic, dict[int, int], int, int]:
+    """Node-split flow network for vertex cuts over ``vertices``.
 
-    def __init__(self, cdag: Cdag):
-        self.cdag = cdag
-
-    def min_cut_size(self, sources: set[int], sinks: set[int]) -> int:
-        """Min number of vertices meeting every sources-to-sinks path.
-
-        Every vertex is cuttable, sources and sink members included; a
-        vertex that is both source and sink is forced into the cut.
-        """
-        verts = sorted(self.cdag.vertices)
-        idx = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        dinic = _Dinic(2 * n + 2)
-        s, t = 2 * n, 2 * n + 1
-        for v in verts:
-            dinic.add_edge(2 * idx[v], 2 * idx[v] + 1, 1)
-        for v in sources:
-            dinic.add_edge(s, 2 * idx[v], _Dinic.INF)
-        for w in sinks:
-            dinic.add_edge(2 * idx[w] + 1, t, _Dinic.INF)
-        for u, w in self.cdag.edges:
-            dinic.add_edge(2 * idx[u] + 1, 2 * idx[w], _Dinic.INF)
-        return dinic.max_flow(s, t)
+    Vertex v becomes in-node 2*idx[v] and out-node 2*idx[v] + 1, joined by
+    a unit arc so that cutting v costs one.  Returns the network, the
+    vertex index, and the source and sink node ids; callers add their own
+    source, sink, and edge arcs.
+    """
+    idx = {v: i for i, v in enumerate(sorted(vertices))}
+    n = len(idx)
+    net = _Dinic(2 * n + 2)
+    for i in range(n):
+        net.add_edge(2 * i, 2 * i + 1, 1)
+    return net, idx, 2 * n, 2 * n + 1
 
 
 @dataclass(frozen=True)
@@ -376,13 +392,7 @@ def wavefront_min(cdag: Cdag, x: int) -> Wavefront:
             size=1,
         )
 
-    movable = sorted(cdag.vertices - desc - {x})
-    idx = {v: i for i, v in enumerate(movable)}
-    n = len(movable)
-    dinic = _Dinic(2 * n + 2)
-    s, t = 2 * n, 2 * n + 1
-    for v in movable:
-        dinic.add_edge(2 * idx[v], 2 * idx[v] + 1, 1)
+    dinic, idx, s, t = _split_network(cdag.vertices - desc - {x})
     for a in anc:
         dinic.add_edge(s, 2 * idx[a], _Dinic.INF)
     for u, w in cdag.edges:
@@ -399,7 +409,7 @@ def wavefront_min(cdag: Cdag, x: int) -> Wavefront:
     flow = dinic.max_flow(s, t)
 
     reach = dinic.residual_reachable(s)
-    s_side = {x} | anc | {v for v in movable if 2 * idx[v] in reach}
+    s_side = {x} | anc | {v for v, i in idx.items() if 2 * i in reach}
     t_side = cdag.vertices - s_side
     cut = frozenset(
         v for v in s_side if v != x and any(w in t_side for w in cdag.succs[v])
@@ -633,24 +643,6 @@ def _real_root(base: int, d: int):
     return base ** (1.0 / d)
 
 
-@dataclass(frozen=True)
-class HorizontalParams:
-    """Ghost-exchange geometry: per-node block extent and halo volume.
-
-    ``block_extent`` is n / n_nodes^(1/d), the side of one node's grid
-    block; a value below one means there are more nodes than blocks and
-    the halo form does not apply.
-    """
-
-    block_extent: float
-    n_nodes: int
-    ghost_per_iteration: float
-
-    def __post_init__(self):
-        if self.block_extent < 1:
-            raise BoundError("more nodes than grid blocks: block extent < 1")
-
-
 def analytic_horizontal_ub(algorithm: str, params: AlgorithmParams, n_nodes: int) -> BoundReport:
     """Ghost-cell upper bounds on per-node horizontal traffic.
 
@@ -664,8 +656,11 @@ def analytic_horizontal_ub(algorithm: str, params: AlgorithmParams, n_nodes: int
     n, d, T, m = params.n, params.d, params.T, params.m
     B = _root_extent(n, d, n_nodes)
     iters = m if algorithm == "gmres" else T
+    if algorithm not in ("cg", "gmres", "jacobi"):
+        raise BoundError(f"no horizontal upper bound for algorithm {algorithm!r}")
+    if B < 1:
+        raise BoundError("more nodes than grid blocks: block extent < 1")
     if algorithm == "jacobi" and d == 2:
-        geom = HorizontalParams(float(B), n_nodes, float(4 * B))
         value = 4 * B * T
         return BoundReport(
             kind="upper",
@@ -673,22 +668,19 @@ def analytic_horizontal_ub(algorithm: str, params: AlgorithmParams, n_nodes: int
             method="analytic",
             symbolic="4*B*T, B = n/n_nodes^(1/2)",
             params={"n": n, "d": d, "T": T, "n_nodes": n_nodes,
-                    "B": geom.block_extent, "ghost": geom.ghost_per_iteration},
+                    "B": float(B), "ghost": float(4 * B)},
         )
-    if algorithm in ("cg", "gmres", "jacobi"):
-        ghost = (B + 2) ** d - B**d
-        geom = HorizontalParams(float(B), n_nodes, float(ghost))
-        value = ghost * iters
-        return BoundReport(
-            kind="upper",
-            value=value if isinstance(value, Fraction) else float(value),
-            method="analytic",
-            symbolic="((B+2)^d - B^d) * iters, B = n/n_nodes^(1/d)",
-            asymptotic=f"O(2*d*B^(d-1)*iters) = {float(2 * d * B ** (d - 1) * iters):.6g}",
-            params={"n": n, "d": d, "iters": iters, "n_nodes": n_nodes,
-                    "B": geom.block_extent, "ghost": geom.ghost_per_iteration},
-        )
-    raise BoundError(f"no horizontal upper bound for algorithm {algorithm!r}")
+    ghost = (B + 2) ** d - B**d
+    value = ghost * iters
+    return BoundReport(
+        kind="upper",
+        value=value if isinstance(value, Fraction) else float(value),
+        method="analytic",
+        symbolic="((B+2)^d - B^d) * iters, B = n/n_nodes^(1/d)",
+        asymptotic=f"O(2*d*B^(d-1)*iters) = {float(2 * d * B ** (d - 1) * iters):.6g}",
+        params={"n": n, "d": d, "iters": iters, "n_nodes": n_nodes,
+                "B": float(B), "ghost": float(ghost)},
+    )
 
 
 def _root_extent(n: int, d: int, n_nodes: int):

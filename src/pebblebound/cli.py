@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +42,7 @@ from .formats import (
 from .games import heuristic_game, validate_prbw, validate_rb, validate_rbw
 from .generators import ALGORITHMS, AlgorithmParams, generate
 from .oracle import DEFAULT_BUDGET, optimal_io
-from .reports import BoundReport
+from .reports import BoundReport, render
 
 
 class _Run:
@@ -58,7 +57,7 @@ class _Run:
         self.started = time.monotonic()
 
     def emit(self, key: str, value) -> None:
-        self.pairs.append((key, _render(value)))
+        self.pairs.append((key, render(value)))
 
     def digest(self, path: str) -> None:
         data = Path(path).read_bytes()
@@ -82,16 +81,6 @@ class _Run:
                     fh.write(f"input.{path}.sha256={digest}\n")
                 for k, v in self.pairs:
                     fh.write(f"output.{k}={v}\n")
-
-
-def _render(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator} ({float(value):.6g})"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def _emit_report(run: _Run, prefix: str, rep: BoundReport) -> None:
@@ -349,11 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", choices=("rb", "rbw"), default="rbw")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--alg", choices=ALGORITHMS, default=None)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--T", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--stencil-points", type=int, default=None, dest="stencil_points")
+    _add_alg_flags(p, with_alg=False)
     common(p)
     p.set_defaults(func=cmd_bound)
 

@@ -8,6 +8,7 @@ trailing junk are all errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -29,6 +30,16 @@ def _int(tok: str, lineno: int, what: str = "integer") -> int:
         return int(tok)
     except ValueError:
         raise FormatError(f"line {lineno}: expected {what}, got {tok!r}") from None
+
+
+def _positive_float(tok: str, lineno: int) -> float:
+    try:
+        value = float(tok)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise FormatError(f"line {lineno}: expected a positive finite number, got {tok!r}")
+    return value
 
 
 def _expect_header(text: str, expected: tuple[str, ...]):
@@ -362,7 +373,7 @@ def parse_machine(text: str):
             if len(toks) == 7:
                 if toks[5] != "bal":
                     raise FormatError(f"line {lineno}: expected 'bal <float>'")
-                balance = float(toks[6])
+                balance = _positive_float(toks[6], lineno)
             fields["caches"].append(
                 CacheLevel(
                     name=toks[1],
@@ -372,13 +383,13 @@ def parse_machine(text: str):
                 )
             )
         elif key == "vbal" and len(toks) == 2:
-            fields["vertical_balance"] = float(toks[1])
+            fields["vertical_balance"] = _positive_float(toks[1], lineno)
         elif key == "hbal" and len(toks) == 2:
-            fields["horizontal_balance"] = float(toks[1])
+            fields["horizontal_balance"] = _positive_float(toks[1], lineno)
         elif key == "raw_vbw" and len(toks) == 2:
-            fields["raw_vertical_bw"] = float(toks[1])
+            fields["raw_vertical_bw"] = _positive_float(toks[1], lineno)
         elif key == "raw_flops" and len(toks) == 2:
-            fields["raw_flops_per_core"] = float(toks[1])
+            fields["raw_flops_per_core"] = _positive_float(toks[1], lineno)
         else:
             raise FormatError(f"line {lineno}: unknown record {' '.join(toks)!r}")
     required = ("name", "n_nodes", "n_cores", "mem_words", "vertical_balance", "horizontal_balance")

@@ -12,8 +12,10 @@ Three games are supported:
   parent and child units, and horizontal remote-gets between top-level
   units.
 
-Validators are incremental: any prefix of a valid trace is itself a valid
-partial game, and violations name the offending step, rule, and vertex.
+One checker, :class:`FlatGame`, serves both flat games (``rb`` and
+``rbw``); :class:`PrbwGame` checks the hierarchical one.  Validators are
+incremental: any prefix of a valid trace is itself a valid partial game,
+and violations name the offending step, rule, and vertex.
 """
 
 from __future__ import annotations
@@ -172,79 +174,22 @@ class IoTally:
 # ---------------------------------------------------------------------------
 
 
-class RbGame:
-    """Incremental rule checker for the recomputation-allowed game."""
+class FlatGame:
+    """Incremental rule checker for the flat games, ``rb`` or ``rbw``.
 
-    def __init__(self, cdag: Cdag, S: int):
-        cdag.check("hk")
+    Both games track white pebbles (vertices fired or loaded so far); only
+    ``rbw`` forbids recomputation and requires every vertex to be fired.
+    """
+
+    def __init__(self, cdag: Cdag, S: int, game: str):
+        if game not in ("rb", "rbw"):
+            raise GameError(f"unknown flat game {game!r}")
+        cdag.check("hk" if game == "rb" else "rbw")
         if S < 1:
             raise GameError("S must be >= 1")
         self.cdag = cdag
         self.S = S
-        self.red: set[int] = set()
-        self.blue: set[int] = set(cdag.inputs)
-        self.tally = IoTally()
-        self.step = 0
-
-    def apply(self, move: RbwMove) -> None:
-        self.step += 1
-        v = move.vertex
-        rule = RBW_RULE[move.kind]
-        if v not in self.cdag.vertices:
-            raise GameError("unknown vertex", step=self.step, rule=rule, vertex=v)
-        if move.kind == "Input":
-            if v not in self.blue:
-                raise GameError("load requires a blue pebble", step=self.step, rule=rule, vertex=v)
-            self._place(v, rule)
-            self.tally.loads += 1
-        elif move.kind == "Output":
-            if v not in self.red:
-                raise GameError("store requires a red pebble", step=self.step, rule=rule, vertex=v)
-            self.blue.add(v)
-            self.tally.stores += 1
-        elif move.kind == "Compute":
-            if v in self.cdag.inputs:
-                raise GameError("input vertices cannot fire", step=self.step, rule=rule, vertex=v)
-            missing = self.cdag.preds[v] - self.red
-            if missing:
-                raise GameError(
-                    f"predecessors without red pebbles: {sorted(missing)}",
-                    step=self.step,
-                    rule=rule,
-                    vertex=v,
-                )
-            self._place(v, rule)
-        else:  # Delete
-            if v not in self.red:
-                raise GameError("no red pebble to delete", step=self.step, rule=rule, vertex=v)
-            self.red.discard(v)
-
-    def _place(self, v: int, rule: str) -> None:
-        if v not in self.red and len(self.red) + 1 > self.S:
-            raise GameError(
-                f"red capacity {self.S} exceeded", step=self.step, rule=rule, vertex=v
-            )
-        self.red.add(v)
-
-    def complete(self) -> bool:
-        return self.cdag.outputs <= self.blue
-
-    def finish(self) -> IoTally:
-        if not self.complete():
-            missing = sorted(self.cdag.outputs - self.blue)
-            raise GameError(f"outputs not blue-pebbled: {missing}")
-        return self.tally
-
-
-class RbwGame:
-    """Incremental rule checker for the no-recomputation game."""
-
-    def __init__(self, cdag: Cdag, S: int):
-        cdag.check("rbw")
-        if S < 1:
-            raise GameError("S must be >= 1")
-        self.cdag = cdag
-        self.S = S
+        self.recompute = game == "rb"
         self.red: set[int] = set()
         self.white: set[int] = set()
         self.blue: set[int] = set(cdag.inputs)
@@ -271,7 +216,7 @@ class RbwGame:
         elif move.kind == "Compute":
             if v in self.cdag.inputs:
                 raise GameError("input vertices cannot fire", step=self.step, rule=rule, vertex=v)
-            if v in self.white:
+            if not self.recompute and v in self.white:
                 raise GameError("recomputation forbidden", step=self.step, rule=rule, vertex=v)
             missing = self.cdag.preds[v] - self.red
             if missing:
@@ -295,32 +240,30 @@ class RbwGame:
             )
         self.red.add(v)
 
-    def complete(self) -> bool:
-        return self.white == set(self.cdag.vertices) and self.cdag.outputs <= self.blue
-
     def finish(self) -> IoTally:
-        if not self.complete():
+        if not self.recompute:
             unfired = sorted(set(self.cdag.vertices) - self.white)
             if unfired:
                 raise GameError(f"vertices never fired/loaded: {unfired}")
+        if not self.cdag.outputs <= self.blue:
             raise GameError(f"outputs not blue-pebbled: {sorted(self.cdag.outputs - self.blue)}")
         return self.tally
 
 
-def validate_rb(cdag: Cdag, S: int, trace: Iterable[RbwMove]) -> IoTally:
-    """Check a trace against the recomputation-allowed rules and score it."""
-    game = RbGame(cdag, S)
+def _play(game, trace: Iterable) -> IoTally:
     for move in trace:
         game.apply(move)
     return game.finish()
+
+
+def validate_rb(cdag: Cdag, S: int, trace: Iterable[RbwMove]) -> IoTally:
+    """Check a trace against the recomputation-allowed rules and score it."""
+    return _play(FlatGame(cdag, S, "rb"), trace)
 
 
 def validate_rbw(cdag: Cdag, S: int, trace: Iterable[RbwMove]) -> IoTally:
     """Check a trace against the no-recomputation rules and score it."""
-    game = RbwGame(cdag, S)
-    for move in trace:
-        game.apply(move)
-    return game.finish()
+    return _play(FlatGame(cdag, S, "rbw"), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -498,24 +441,18 @@ class PrbwGame:
                 raise GameError("no pebble to delete", step=self.step, rule=rule, vertex=v)
             self.pebbles[(level, unit)].discard(v)
 
-    def complete(self) -> bool:
-        return self.white == set(self.cdag.vertices) and self.cdag.outputs <= self.blue
-
     def finish(self) -> IoTally:
-        if not self.complete():
-            unfired = sorted(set(self.cdag.vertices) - self.white)
-            if unfired:
-                raise GameError(f"vertices never fired/loaded: {unfired}")
+        unfired = sorted(set(self.cdag.vertices) - self.white)
+        if unfired:
+            raise GameError(f"vertices never fired/loaded: {unfired}")
+        if not self.cdag.outputs <= self.blue:
             raise GameError(f"outputs not blue-pebbled: {sorted(self.cdag.outputs - self.blue)}")
         return self.tally
 
 
 def validate_prbw(cdag: Cdag, config: HierarchyConfig, trace: Iterable[PrbwMove]) -> IoTally:
     """Check a trace against the hierarchical rules and score it per unit."""
-    game = PrbwGame(cdag, config)
-    for move in trace:
-        game.apply(move)
-    return game.finish()
+    return _play(PrbwGame(cdag, config), trace)
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,19 @@ class BoundReport:
         if self.method == "transfer" and not self.provenance:
             raise BoundError("transfer reports need a nonempty provenance")
 
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
-
     def render_value(self) -> str:
-        if isinstance(self.value, Fraction):
-            if self.value.denominator == 1:
-                return str(self.value.numerator)
-            return f"{self.value.numerator}/{self.value.denominator} ({float(self.value):.6g})"
-        return f"{self.value:.6g}"
+        return render(self.value)
+
+
+def render(value) -> str:
+    """Text form of an output value: exact rationals keep a 6-digit gloss."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator} ({float(value):.6g})"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 def as_lower(report: BoundReport) -> BoundReport:

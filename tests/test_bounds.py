@@ -166,6 +166,16 @@ class TestWmax:
     def test_empty_graph(self):
         assert wmax(make_cdag(0, [])) == 0
 
+    def test_long_side_path_does_not_hit_recursion_limit(self):
+        # a0 -> x -> d plus a0 -> p1 -> ... -> p5000 -> d; the flow's
+        # augmenting path runs the whole side path
+        side = 5000
+        path = list(range(3, 3 + side))
+        edges = [(0, 1), (1, 2), (0, path[0]), (path[-1], 2)] + list(zip(path, path[1:]))
+        c = make_cdag(3 + side, edges)
+        assert wmax(c, [1]) == 1
+        assert wavefront_min(c, 1).cut_vertices == {0}
+
 
 class TestMincutBounds:
     def test_arithmetic(self):
@@ -263,6 +273,10 @@ class TestAnalyticForms:
     def test_too_many_nodes(self):
         with pytest.raises(BoundError, match="more nodes"):
             analytic_horizontal_ub("cg", AlgorithmParams("cg", n=2, d=1, T=1), n_nodes=5)
+
+    def test_unknown_algorithm_error_comes_before_too_many_nodes(self):
+        with pytest.raises(BoundError, match="no horizontal upper bound"):
+            analytic_horizontal_ub("matmul", AlgorithmParams("matmul", n=2), n_nodes=5)
 
 
 class TestSPartitionChecker:

@@ -189,6 +189,18 @@ class TestBoundAndAnalyze:
         assert kv["verdict.vertical"] == "provably-bandwidth-bound"
         assert kv["verdict.horizontal"] == "not-bandwidth-bound-achievable"
 
+    def test_analyze_rejects_unparsable_machine_balance(self, tmp_path):
+        spec = tmp_path / "bad.machine"
+        spec.write_text("machine 1\nname x\nnodes 1\ncores 1\nmem_words 8\nvbal 0.05x\nhbal 0.05\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pebblebound.cli", "analyze", "--alg", "cg", "--n", "4",
+             "--d", "3", "--machine", str(spec), "--kv"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: line 6: expected a positive finite number, got '0.05x'\n"
+
     def test_kv_output_is_deterministic(self, jacobi_files, capsys):
         cdag, _, _ = jacobi_files
         _, out1, _ = run_cli(["oracle", "--cdag", str(cdag), "--S", "4", "--kv"], capsys)

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pebblebound import FormatError, gen_cg, gen_jacobi
+from pebblebound import FormatError, PebbleboundError, gen_cg, gen_jacobi
 from pebblebound.formats import (
     format_annotations,
     format_cdag,
@@ -149,3 +150,74 @@ class TestMachine:
     def test_missing_field(self):
         with pytest.raises(FormatError, match="missing"):
             parse_machine("machine 1\nname x\n")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "vbal 0.05x",
+            "vbal nan",
+            "vbal inf",
+            "vbal 0",
+            "hbal -0.049",
+            "hbal 1e400",
+            "cache L1 2048 shared 1 bal nan",
+            "cache L1 2048 shared 1 bal 0",
+            "raw_vbw 0.8x",
+            "raw_flops 0",
+        ],
+    )
+    def test_bad_float_rejected(self, record):
+        fields = {
+            "name": "x", "nodes": "1", "cores": "1", "mem_words": "8",
+            "vbal": "0.05", "hbal": "0.05",
+        }
+        key = record.split()[0]
+        fields.pop(key, None)
+        text = "machine 1\n" + "".join(f"{k} {v}\n" for k, v in fields.items()) + record + "\n"
+        with pytest.raises(FormatError, match="positive finite number"):
+            parse_machine(text)
+
+
+FUZZ_TOKEN = st.one_of(
+    st.sampled_from("in out label=x units cap shared bal L1 nan inf -inf 1e400 0.05x 0.5".split()),
+    st.integers(-2, 12).map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+)
+
+# one valid document per format; the fuzz test mutates their tokens
+FUZZ_SEEDS = (
+    (parse_cdag, CDAG_TEXT),
+    (parse_annotations, "slab a 0 1\nslab b 2\nfrontier a b 1\nanchor 2\n"),
+    (parse_trace, "trace rbw 1\nR1 0\nR3 1\nR2 1\nR4 0\n"),
+    (parse_trace, "trace prbw 1\nR1 1 0\nR3 2 0 1\nR4 2 1 0\nR5 2 2 0\nR6 3 1\nR7 3 1 1\nR2 1 0\n"),
+    (
+        parse_hierarchy,
+        "hier 1\nlevels 2\nlevel 1 units 2 cap 3\nlevel 2 units 1 cap 8\n"
+        "parent 1 0 0\nparent 1 1 0\nprocs 2\npolicy inclusive\n",
+    ),
+    (
+        parse_machine,
+        "machine 1\nname m\nnodes 4\ncores 2\nmem_words 1024\ncache L1 64 shared 1 bal 2.0\n"
+        "vbal 0.05\nhbal 0.04\nraw_vbw 0.8\nraw_flops 8.0\n",
+    ),
+)
+
+
+@given(st.sampled_from(FUZZ_SEEDS), st.data())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_parsers_raise_only_package_errors(seed, data):
+    """Every parser returns or raises a package error on mutated input."""
+    parser, text = seed
+    rows = [line.split() for line in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(0, len(rows[r])))
+        token = data.draw(st.one_of(st.none(), FUZZ_TOKEN))
+        if token is None:
+            del rows[r][c:c + 1]
+        else:
+            rows[r][c:c + 1] = [token]
+    try:
+        parser("\n".join(" ".join(row) for row in rows))
+    except PebbleboundError:
+        pass

@@ -17,7 +17,7 @@ from pebblebound import (
     validate_rb,
     validate_rbw,
 )
-from pebblebound.games import PrbwGame, RbwGame
+from pebblebound.games import FlatGame, PrbwGame
 
 from conftest import make_cdag
 
@@ -119,14 +119,18 @@ class TestValidateRbw:
     def test_prefix_of_valid_trace_is_valid(self):
         ann = gen_jacobi(3, 1, 2, 3)
         trace, _ = heuristic_game(ann.cdag, 4)
-        game = RbwGame(ann.cdag, 4)
+        game = FlatGame(ann.cdag, 4, "rbw")
         for move in trace:  # no step may raise
             game.apply(move)
+
+    def test_flat_checker_rejects_unknown_game(self):
+        with pytest.raises(GameError, match="unknown flat game"):
+            FlatGame(gen_chain(2).cdag, 2, "prbw")
 
     def test_pebble_conservation_and_monotone_whites(self):
         ann = gen_matmul(2)
         trace, _ = heuristic_game(ann.cdag, 4)
-        game = RbwGame(ann.cdag, 4)
+        game = FlatGame(ann.cdag, 4, "rbw")
         whites = 0
         for move in trace:
             game.apply(move)
