@@ -163,10 +163,8 @@ class Cdag:
         """
         if mode not in ("hk", "rbw"):
             raise CdagError(f"unknown validation mode {mode!r}")
-        violations = []
-        for u, v in sorted(self.edges):
-            if u == v:
-                violations.append(f"self-loop at vertex {u}")
+        loops = sorted(u for u, v in self.edges if u == v)
+        violations = [f"self-loop at vertex {u}" for u in loops]
         if self.topological_order is None:
             cyc = self._find_cycle()
             violations.append("cycle: " + "->".join(str(v) for v in cyc))

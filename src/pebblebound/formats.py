@@ -310,8 +310,17 @@ def parse_hierarchy(text: str) -> HierarchyConfig:
             raise FormatError(f"line {lineno}: unknown record {' '.join(toks)!r}")
     if levels is None or procs is None:
         raise FormatError("hierarchy needs 'levels' and 'procs' records")
-    if set(units) != set(range(1, levels + 1)):
+    # sizes come from the file: compare them before building anything from them
+    if levels < 1:
+        raise FormatError(f"hierarchy needs levels >= 1, got {levels}")
+    if len(units) != levels or not all(1 <= l <= levels for l in units):
         raise FormatError("hierarchy needs one 'level' record per level 1..L")
+    below_top = sum(max(units[l], 0) for l in range(1, levels))
+    if below_top > len(parent):
+        raise FormatError(
+            f"hierarchy needs a 'parent' record for each of the {below_top} units "
+            f"below level {levels}, got {len(parent)}"
+        )
     cfg = HierarchyConfig(
         levels=levels,
         units=tuple(units[l] for l in range(1, levels + 1)),

@@ -20,6 +20,7 @@ and violations name the offending step, rule, and vertex.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -467,8 +468,20 @@ def heuristic_game(cdag: Cdag, S: int) -> tuple[list[RbwMove], IoTally]:
     red operands (ties to the lowest id).  Eviction: Belady on a fixed
     reference topological order -- the victim is the resident value whose
     next use lies furthest in that order, stored first when it is still
-    live and unstored.  Values are never dropped while live and unstored,
-    so the produced trace always validates.
+    live and unstored; a dead resident (no unfired use, nothing left to
+    store) goes first, lowest id first.  Values are never dropped while
+    live and unstored, so the produced trace always validates.
+
+    The state is kept incrementally.  A per-vertex count of unfired
+    predecessors makes a vertex ready when it reaches 0; every ready vertex
+    carries its count of operands without a red pebble, updated when one
+    of its operands gains or loses a red pebble, and sits in a min-heap of
+    ids for that count (lazy deletion), so the lowest non-empty bucket's
+    top is the next vertex.  Each vertex's successors are sorted by
+    reference position, and a pointer past the fired ones gives its next
+    use.  Cost: O((V + E) log V) plus O(S) per step for the bucket scan,
+    and O(S + d log V) per eviction of a value with d successors (every
+    reload follows an eviction).
     """
     cdag.check("rbw")
     if S < 2:
@@ -479,43 +492,70 @@ def heuristic_game(cdag: Cdag, S: int) -> tuple[list[RbwMove], IoTally]:
                 f"S too small for in-degree: vertex {v} needs {cdag.in_degree(v) + 1} pebbles"
             )
 
+    preds, succs, outputs = cdag.preds, cdag.succs, cdag.outputs
     order = cdag.topological_order
     pos = {v: i for i, v in enumerate(order)}
+    fired = bytearray(len(order))  # by reference position
+    # uses[v][nxt[v]] is the position of v's next unfired successor
+    uses = {v: sorted(pos[w] for w in succs[v]) for v in order}
+    nxt = dict.fromkeys(order, 0)
+    waiting = {v: len(preds[v]) for v in order}  # unfired predecessors
+    missing = {v: 0 for v in order if not preds[v]}  # ready -> operands off red
+    buckets: list[list[int]] = [[] for _ in range(1 + max(waiting.values(), default=0))]
+    buckets[0] = sorted(missing)
     trace: list[RbwMove] = []
     red: set[int] = set()
-    white: set[int] = set()
     blue: set[int] = set(cdag.inputs)
 
     def next_use(v: int) -> int:
-        uses = [pos[w] for w in cdag.succs[v] if w not in white]
-        return min(uses) if uses else -1
+        vs, i = uses[v], nxt[v]
+        while i < len(vs) and fired[vs[i]]:
+            i += 1
+        nxt[v] = i
+        return vs[i] if i < len(vs) else -1
 
-    def live(v: int) -> bool:
-        return v not in blue and (any(w not in white for w in cdag.succs[v]) or v in cdag.outputs)
+    def red_changed(v: int, delta: int) -> None:
+        for w in succs[v]:
+            m = missing.get(w)
+            if m is not None:
+                missing[w] = m + delta
+                heapq.heappush(buckets[m + delta], w)
 
     def make_room(pinned: set[int]) -> None:
         while len(red) >= S:
-            victims = red - pinned
-            dead = sorted(v for v in victims if not live(v) and next_use(v) == -1)
-            if dead:
-                victim = dead[0]
-            else:
-                victim = max(victims, key=lambda v: (next_use(v), -v))
-                if live(victim):
-                    trace.append(RbwMove("Output", victim))
-                    blue.add(victim)
+            dead, victim, victim_use = None, None, -2
+            for u in red:
+                if u in pinned:
+                    continue
+                use = next_use(u)
+                if use == -1 and (u in blue or u not in outputs):
+                    if dead is None or u < dead:
+                        dead = u
+                elif use > victim_use or (use == victim_use and u < victim):
+                    victim, victim_use = u, use
+            if dead is not None:
+                victim = dead
+            elif victim not in blue:  # a non-dead victim is live
+                trace.append(RbwMove("Output", victim))
+                blue.add(victim)
             trace.append(RbwMove("Delete", victim))
             red.discard(victim)
+            red_changed(victim, 1)
 
-    unfired = set(cdag.vertices)
-    while unfired:
-        ready = [v for v in unfired if cdag.preds[v] <= white]
-        v = min(ready, key=lambda u: (len(cdag.preds[u] - red), u))
-        pinned = set(cdag.preds[v]) & red
-        for p in sorted(cdag.preds[v] - red):
+    for _ in range(len(order)):
+        for m, bucket in enumerate(buckets):
+            while bucket and missing.get(bucket[0]) != m:
+                heapq.heappop(bucket)
+            if bucket:
+                v = bucket[0]
+                break
+        del missing[v]
+        pinned = red & preds[v]
+        for p in sorted(preds[v] - red):
             make_room(pinned)
             trace.append(RbwMove("Input", p))
             red.add(p)
+            red_changed(p, -1)
             pinned.add(p)
         make_room(pinned)
         if v in cdag.inputs:
@@ -523,10 +563,14 @@ def heuristic_game(cdag: Cdag, S: int) -> tuple[list[RbwMove], IoTally]:
         else:
             trace.append(RbwMove("Compute", v))
         red.add(v)
-        white.add(v)
-        unfired.discard(v)
+        fired[pos[v]] = 1
+        for w in succs[v]:
+            waiting[w] -= 1
+            if waiting[w] == 0:
+                missing[w] = off_red = len(preds[w] - red)
+                heapq.heappush(buckets[off_red], w)
 
-    for o in sorted(cdag.outputs - blue):
+    for o in sorted(outputs - blue):
         trace.append(RbwMove("Output", o))
         blue.add(o)
 

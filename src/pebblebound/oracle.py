@@ -27,7 +27,7 @@ import heapq
 from fractions import Fraction
 
 from .cdag import Cdag
-from .errors import BudgetExhaustedError, InfeasibleGameError
+from .errors import BudgetExhaustedError, InfeasibleGameError, PebbleboundError
 from .reports import BoundReport
 
 DEFAULT_BUDGET = 5_000_000
@@ -83,12 +83,17 @@ def _check_degrees(n, pred, inputs, S):
 
 
 def _best_known_ub(cdag: Cdag, S: int):
+    """The heuristic player's tally, or None when it cannot play at this S.
+
+    Only package errors mean "no ceiling"; anything else is a player bug
+    and propagates.
+    """
     from .games import heuristic_game
 
     try:
         _, tally = heuristic_game(cdag, S)
         return tally.io
-    except Exception:
+    except PebbleboundError:
         return None
 
 

@@ -58,6 +58,21 @@ class TestValidate:
         c = Cdag.build([0], [(0, 0)])
         assert any("self-loop" in v for v in c.validate("rbw"))
 
+    def test_violation_list_and_order(self):
+        # self-loops by vertex, then the cycle, then tagging
+        c = Cdag.build(
+            range(6), [(4, 4), (1, 1), (0, 2), (2, 0), (3, 5), (5, 3), (2, 5)], inputs=[0, 1]
+        )
+        expected = [
+            "self-loop at vertex 1",
+            "self-loop at vertex 4",
+            "cycle: 0->2->0",
+            "input vertex 0 has in-degree 1",
+            "input vertex 1 has in-degree 1",
+        ]
+        assert c.validate("rbw") == expected
+        assert c.validate("hk") == expected
+
 
 class TestInduced:
     def test_full_set_is_identity(self):

@@ -136,6 +136,37 @@ class TestHierarchy:
         with pytest.raises(Exception):
             parse_hierarchy(text)
 
+    # sizes read from the file are checked before anything is built from
+    # them; before that check these documents allocated without bound
+    def test_huge_levels_rejected(self):
+        text = f"hier 1\nlevels {10**18}\nlevel 1 units 1 cap 3\nprocs 1\n"
+        with pytest.raises(FormatError, match="one 'level' record per level"):
+            parse_hierarchy(text)
+
+    def test_huge_unit_count_rejected(self):
+        text = (
+            f"hier 1\nlevels 2\nlevel 1 units {10**18} cap 3\nlevel 2 units 1 cap 8\n"
+            f"parent 1 0 0\nprocs {10**18}\n"
+        )
+        with pytest.raises(FormatError, match="'parent' record for each of the 1000000000000000000 units"):
+            parse_hierarchy(text)
+
+    def test_level_record_out_of_range_rejected(self):
+        text = "hier 1\nlevels 2\nlevel 1 units 1 cap 3\nlevel 3 units 1 cap 8\nprocs 1\n"
+        with pytest.raises(FormatError, match="one 'level' record per level"):
+            parse_hierarchy(text)
+
+    @pytest.mark.parametrize("levels", [0, -3])
+    def test_nonpositive_levels_rejected(self, levels):
+        text = f"hier 1\nlevels {levels}\nprocs 1\n"
+        with pytest.raises(FormatError, match="levels >= 1"):
+            parse_hierarchy(text)
+
+    def test_missing_parent_record_rejected(self):
+        text = "hier 1\nlevels 2\nlevel 1 units 2 cap 3\nlevel 2 units 1 cap 8\nparent 1 0 0\nprocs 2\n"
+        with pytest.raises(FormatError, match="each of the 2 units below level 2, got 1"):
+            parse_hierarchy(text)
+
 
 class TestMachine:
     def test_roundtrip_shipped_file(self):

@@ -19,6 +19,7 @@ from pebblebound import (
     heuristic_game,
     optimal_io,
 )
+from pebblebound import games, oracle
 
 from conftest import make_cdag
 
@@ -125,6 +126,25 @@ class TestBudget:
     def test_zero_budget_rejected(self):
         with pytest.raises(BudgetExhaustedError):
             optimal_io(gen_chain(2).cdag, 2, budget=0)
+
+
+class TestCeiling:
+    def test_player_crash_propagates(self, monkeypatch):
+        # a bug in the player must not silently drop the search ceiling
+        def crash(cdag, S):
+            raise RuntimeError("player bug")
+
+        monkeypatch.setattr(games, "heuristic_game", crash)
+        for game in ("rbw", "rb"):
+            with pytest.raises(RuntimeError, match="player bug"):
+                optimal_io(gen_chain(4).cdag, 2, game=game)
+
+    def test_s1_below_player_floor_searches_uncapped(self):
+        # the player needs S >= 2 (GameError); the search still runs at S=1:
+        # load 0 to fire it, fire 1 and store it, fire 2 for free
+        c = make_cdag(3, [], inputs=[0], outputs=[0, 1])
+        assert oracle._best_known_ub(c, 1) is None
+        assert optimal_io(c, 1).value == 2
 
 
 class TestSmallCases:
