@@ -7,7 +7,7 @@ bound, the closed form where one exists, the exhaustive optimum, and the
 heuristic player's tally.  Lower bounds never exceed the optimum; the
 heuristic never beats it.
 
-Takes a minute or so; the matmul instance at S=3 dominates the runtime.
+Takes about half a second.
 """
 
 import time

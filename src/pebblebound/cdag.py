@@ -159,10 +159,21 @@ class Cdag:
         An empty list means the CDAG is valid.  ``hk`` mode additionally
         requires every in-degree-0 vertex to be an input and every
         out-degree-0 vertex to be an output; ``rbw`` mode allows untagged
-        sources and sinks.
+        sources and sinks.  The scan runs once per mode on an instance;
+        each call returns a fresh list.
         """
         if mode not in ("hk", "rbw"):
             raise CdagError(f"unknown validation mode {mode!r}")
+        found = self._violations.get(mode)
+        if found is None:
+            found = self._violations[mode] = tuple(self._scan(mode))
+        return list(found)
+
+    @cached_property
+    def _violations(self) -> dict[str, tuple[str, ...]]:
+        return {}
+
+    def _scan(self, mode: str) -> list[str]:
         loops = sorted(u for u, v in self.edges if u == v)
         violations = [f"self-loop at vertex {u}" for u in loops]
         if self.topological_order is None:

@@ -7,12 +7,15 @@ Two output streams: the default human-readable text (which may mention
 wall time), and ``--kv``, a deterministic line-oriented ``key=value``
 stream that is byte-identical across runs on identical inputs.  With
 ``--record PATH`` every command appends a run record carrying the command
-line, sha256 digests of every file input, and its outputs.
+line, sha256 digests of every file input, its outputs and, for engines
+that count their work, ``stats.<engine>.<counter>`` lines (records only,
+so ``--kv`` stays byte-identical).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 import time
@@ -41,7 +44,7 @@ from .formats import (
 )
 from .games import heuristic_game, validate_prbw, validate_rb, validate_rbw
 from .generators import ALGORITHMS, AlgorithmParams, generate
-from .oracle import DEFAULT_BUDGET, optimal_io
+from .oracle import DEFAULT_BUDGET, OracleStats, optimal_io
 from .reports import BoundReport, render
 
 
@@ -54,10 +57,16 @@ class _Run:
         self.argv = argv
         self.pairs: list[tuple[str, str]] = []
         self.digests: list[tuple[str, str]] = []
+        self.stats: list[tuple[str, int]] = []
         self.started = time.monotonic()
 
     def emit(self, key: str, value) -> None:
         self.pairs.append((key, render(value)))
+
+    def record_stats(self, engine: str, stats) -> None:
+        """Queue an engine's work counters (a dataclass) for the run record."""
+        for f in dataclasses.fields(stats):
+            self.stats.append((f"stats.{engine}.{f.name}", getattr(stats, f.name)))
 
     def digest(self, path: str) -> None:
         data = Path(path).read_bytes()
@@ -81,6 +90,8 @@ class _Run:
                     fh.write(f"input.{path}.sha256={digest}\n")
                 for k, v in self.pairs:
                     fh.write(f"output.{k}={v}\n")
+                for k, v in self.stats:
+                    fh.write(f"{k}={v}\n")
 
 
 def _emit_report(run: _Run, prefix: str, rep: BoundReport) -> None:
@@ -196,7 +207,9 @@ def cmd_play(args, argv) -> int:
 def cmd_oracle(args, argv) -> int:
     run = _Run(args, argv)
     cdag = _load_cdag(run, args.cdag)
-    rep = optimal_io(cdag, args.S, game=args.game, budget=args.budget)
+    stats = OracleStats()
+    rep = optimal_io(cdag, args.S, game=args.game, budget=args.budget, stats=stats)
+    run.record_stats("oracle", stats)
     run.emit("game", args.game)
     run.emit("S", args.S)
     run.emit("optimum", rep.value)
@@ -219,7 +232,9 @@ def cmd_bound(args, argv) -> int:
         raise FormatError(f"--method {args.method} needs --S")
     cdag = _load_cdag(run, args.cdag)
     if args.method == "oracle":
-        rep = optimal_io(cdag, args.S, game=args.game, budget=args.budget)
+        stats = OracleStats()
+        rep = optimal_io(cdag, args.S, game=args.game, budget=args.budget, stats=stats)
+        run.record_stats("oracle", stats)
     elif args.method == "spart":
         umax = args.umax
         if umax is None:
@@ -323,7 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cdag", required=True)
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--game", choices=("rb", "rbw"), default="rbw")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="cap on search expansions; an expansion is a macro move (one fire with its loads,"
+        " evictions and stores), so each costs more than a single move",
+    )
     common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -336,7 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors", default=None)
     p.add_argument("--partition", default=None)
     p.add_argument("--game", choices=("rb", "rbw"), default="rbw")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="oracle expansions (macro moves) with --method oracle; umax candidates with --method spart",
+    )
     p.add_argument("--alg", choices=ALGORITHMS, default=None)
     _add_alg_flags(p, with_alg=False)
     common(p)

@@ -39,14 +39,17 @@ class BudgetExhaustedError(PebbleboundError):
     """A search budget ran out before an exact answer was established.
 
     ``best_known`` carries an upper bound found along the way, when one
-    exists; it is a hint only, never a certified optimum.
+    exists; it is a hint only, never a certified optimum.  ``lower``, when
+    the search sets it, is a certified lower bound on the optimum, so
+    ``lower <= optimum <= best_known`` brackets the answer.
     """
 
-    def __init__(self, message, best_known=None):
+    def __init__(self, message, best_known=None, lower=None):
         if best_known is not None:
             message = f"{message} (best known upper bound: {best_known})"
         super().__init__(message)
         self.best_known = best_known
+        self.lower = lower
 
 
 class BoundError(PebbleboundError):

@@ -281,21 +281,24 @@ class PrbwGame:
         self.cdag = cdag
         self.cfg = config
         self.L = config.levels
-        # pebbles[(level, unit)] = set of vertices holding that shade
-        self.pebbles: dict[tuple[int, int], set[int]] = {
-            (l, u): set() for l in range(1, self.L + 1) for u in range(config.units[l - 1])
-        }
+        # pebbles[(level, unit)] = set of vertices holding that shade; a
+        # unit's set is made on its first placement, so memory follows the
+        # units a trace touches, not the units the hierarchy declares
+        self.pebbles: dict[tuple[int, int], set[int]] = {}
         self.white: set[int] = set()
         self.blue: set[int] = set(cdag.inputs)
         self.tally = IoTally()
         self.step = 0
 
+    def _held(self, level: int, unit: int):
+        return self.pebbles.get((level, unit), frozenset())
+
     def _occupancy(self, level: int, unit: int) -> int:
         if self.cfg.policy == "exclusive":
-            return len(self.pebbles[(level, unit)])
+            return len(self._held(level, unit))
         held: set[int] = set()
         for lu in self.cfg.subtree_units(level, unit):
-            held |= self.pebbles[lu]
+            held |= self._held(*lu)
         return len(held)
 
     def _check_unit(self, level: int, unit: int, rule: str) -> None:
@@ -305,7 +308,7 @@ class PrbwGame:
             raise GameError(f"unit {unit} out of range at level {level}", step=self.step, rule=rule)
 
     def _place(self, v: int, level: int, unit: int, rule: str) -> None:
-        self.pebbles[(level, unit)].add(v)
+        self.pebbles.setdefault((level, unit), set()).add(v)
         # capacity must hold at the unit and, inclusively, at every ancestor
         l, u = level, unit
         while True:
@@ -338,7 +341,7 @@ class PrbwGame:
             self.tally.loads += 1
         elif move.kind == "Output":
             self._check_unit(self.L, move.unit, rule)
-            if v not in self.pebbles[(self.L, move.unit)]:
+            if v not in self._held(self.L, move.unit):
                 raise GameError(
                     f"store requires a level-{self.L} pebble in unit {move.unit}",
                     step=self.step,
@@ -355,7 +358,7 @@ class PrbwGame:
             self._check_unit(self.L, dst, rule)
             if src == dst:
                 raise GameError("remote-get needs distinct units", step=self.step, rule=rule, vertex=v)
-            if v not in self.pebbles[(self.L, src)]:
+            if v not in self._held(self.L, src):
                 raise GameError(
                     f"no level-{self.L} pebble in source unit {src}",
                     step=self.step,
@@ -371,7 +374,7 @@ class PrbwGame:
                 raise GameError(f"move toward processors needs level < {self.L}", step=self.step, rule=rule)
             self._check_unit(level, unit, rule)
             par = self.cfg.parent[(level, unit)]
-            if v not in self.pebbles[(level + 1, par)]:
+            if v not in self._held(level + 1, par):
                 raise GameError(
                     f"parent unit {par} at level {level + 1} holds no pebble",
                     step=self.step,
@@ -388,7 +391,7 @@ class PrbwGame:
                 raise GameError("move toward memory needs level >= 2", step=self.step, rule=rule)
             self._check_unit(level, unit, rule)
             children = self.cfg.children(level, unit)
-            holders = [c for c in children if v in self.pebbles[(level - 1, c)]]
+            holders = [c for c in children if v in self._held(level - 1, c)]
             if move.src_unit is not None:
                 if move.src_unit not in children:
                     raise GameError(
@@ -397,7 +400,7 @@ class PrbwGame:
                         rule=rule,
                         vertex=v,
                     )
-                if v not in self.pebbles[(level - 1, move.src_unit)]:
+                if v not in self._held(level - 1, move.src_unit):
                     raise GameError(
                         f"child unit {move.src_unit} holds no pebble",
                         step=self.step,
@@ -424,7 +427,7 @@ class PrbwGame:
                 raise GameError("input vertices cannot fire", step=self.step, rule=rule, vertex=v)
             if v in self.white:
                 raise GameError("recomputation forbidden", step=self.step, rule=rule, vertex=v)
-            missing = self.cdag.preds[v] - self.pebbles[(1, proc)]
+            missing = self.cdag.preds[v] - self._held(1, proc)
             if missing:
                 raise GameError(
                     f"predecessors not in processor {proc} registers: {sorted(missing)}",
@@ -438,7 +441,7 @@ class PrbwGame:
         else:  # Delete
             level, unit = move.level, move.unit
             self._check_unit(level, unit, rule)
-            if v not in self.pebbles[(level, unit)]:
+            if v not in self._held(level, unit):
                 raise GameError("no pebble to delete", step=self.step, rule=rule, vertex=v)
             self.pebbles[(level, unit)].discard(v)
 

@@ -1,30 +1,79 @@
 """Exhaustive optimal-game search: the exact I/O optimum for small CDAGs.
 
-The search is an A* over game states with cost = loads + stores; compute
-moves are free edges and delete moves are applied implicitly (a pebble is
-dropped exactly when a placement needs the slot, which is never worse than
-dropping early).  The admissible heuristic counts inputs still needing
-their first load and outputs still needing their store, so zero-waste
-schedules are explored first.
+One A* loop, :func:`_search`, serves both games, with cost = loads +
+stores.  A game supplies its start state, its goal test and a successor
+function that returns canonical states; the loop owns the open heap, the
+best-cost table, the ceiling and the budget.
 
-States are canonicalized aggressively for the no-recomputation game:
+**Macro moves.**  The search does not step through single moves.  Each
+successor fires one vertex ``v`` together with the transfers it needs:
 
-* a red pebble on a fully-consumed value is dropped (it can never help);
-* a blue pebble on a fully-consumed non-output is forgotten;
-* any state in which an unstored, unpebbled value still has pending
-  consumers is discarded outright -- the value is unrecoverable.
+1. load every operand of ``v`` that lacks a red pebble (each has a blue
+   one: just-in-time loads);
+2. evict exactly ``max(0, |red| + |missing| + 1 - S)`` residents outside
+   pred(v), one successor per choice (``itertools.combinations``); an
+   evicted value without a blue pebble is stored as it goes (lazy stores);
+3. fire ``v``.
 
-State spaces are exponential; callers gate the search with ``budget``
-(number of state expansions).  Structured instances in the low-20s of
-vertices complete at small S; arbitrary graphs should stay below roughly
-a dozen vertices for the no-recomputation game and nine for the classic
+**Why this normal form keeps the optimum.**  Rewrite any complete game as
+follows; no step raises its cost or breaks a rule.
+
+* A load whose red pebble is deleted before any compute reads it is
+  dropped.  Any other load moves to just before the first compute that
+  reads it: waiting only frees a slot in between.  (``rbw`` must load an
+  input without successors once; those loads go to the very start, where
+  memory is empty, at one transfer each.)
+* A store moves to just before the deletion of the red pebble it copied,
+  or to the end of the game: its blue pebble is read only by a later load,
+  which is pointless while the red pebble lives, and by the goal.
+* A delete moves to just before the load or fire that needs its slot, so
+  each fire evicts exactly as many values as the capacity forces.  A
+  pebble that can never be read again (canonicalization below) may go at
+  once instead.
+
+What remains is a sequence of macro moves, so the macro graph holds an
+optimal game, and A* with an admissible remainder finds its cost (Hart,
+Nilsson & Raphael 1968).
+
+**The games.**  ``rbw`` (no recomputation) must store an evicted value
+without a blue pebble, since it could never come back otherwise.  An
+output whose last successor has fired is stored at once and loses its red
+pebble: no game can recreate that pebble, so it has to be stored from it
+anyway.  The goal is every vertex fired or loaded.  ``rb`` may also drop
+an unstored victim, which can be recomputed later, so each such victim
+yields a store successor and a drop successor.  A red output without
+successors is stored at once, and outputs still red at the goal (every
+output red or blue) are stored then.
+
+**Canonical states** (``rbw``): a red pebble on a fully-consumed value is
+dropped, and so is a blue pebble on a fully-consumed non-output.  Every
+value with pending consumers then holds a red or a blue pebble.
+
+**Admissible remainder.**  ``rbw``: first loads of untouched inputs,
+stores of unstored outputs, and one reload per evicted value with pending
+consumers.  ``rb``: stores of unstored outputs.  A valid game played by
+the heuristic caps the search: states whose f-value exceeds its cost are
+never queued.  Ties in f pop the deeper state first.
+
+**Budget.**  ``budget`` caps expansions: macro moves taken off the heap,
+each heavier than a single move (it generates every eviction choice of
+every ready vertex).  When it runs out, the f-value of the state just
+popped is a lower bound on the optimum, since the remainder is admissible;
+:class:`BudgetExhaustedError` carries it as ``lower``.
+
+State spaces are exponential.  Structured instances around thirty
+vertices complete at small S (the 31-vertex composite pipeline at S=4 in
+about 135,000 expansions); arbitrary graphs should stay below roughly
+twenty vertices for the no-recomputation game and fifteen for the classic
 game.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .cdag import Cdag
 from .errors import BudgetExhaustedError, InfeasibleGameError, PebbleboundError
@@ -33,53 +82,57 @@ from .reports import BoundReport
 DEFAULT_BUDGET = 5_000_000
 
 
-def optimal_io(cdag: Cdag, S: int, game: str = "rbw", budget: int = DEFAULT_BUDGET) -> BoundReport:
+@dataclass
+class OracleStats:
+    """Work counters of one search; every count is deterministic.
+
+    ``generated`` counts successors built; each is then a ``duplicate``
+    (its state already reached at no greater cost), a ``ceiling_prune``
+    (f-value above the heuristic's tally), or queued.
+    """
+
+    expansions: int = 0
+    generated: int = 0
+    duplicates: int = 0
+    ceiling_prunes: int = 0
+    peak_heap: int = 0
+
+
+def optimal_io(
+    cdag: Cdag,
+    S: int,
+    game: str = "rbw",
+    budget: int = DEFAULT_BUDGET,
+    stats: OracleStats | None = None,
+) -> BoundReport:
     """Exact minimum I/O over all valid games, as an ``exact`` bound report.
 
     Raises InfeasibleGameError when no complete game exists (for instance
     when some vertex needs in-degree + 1 > S simultaneous pebbles) and
-    BudgetExhaustedError when the state space outgrows ``budget``.
+    BudgetExhaustedError when the state space outgrows ``budget``.  Pass
+    ``stats`` to collect the search's work counters.
     """
     if budget <= 0:
         raise BudgetExhaustedError("budget must be positive")
     if game == "rbw":
-        value = _search_rbw(cdag, S, budget)
+        cdag.check("rbw")
+        space_type = _Rbw
     elif game == "rb":
-        value = _search_rb(cdag, S, budget)
+        cdag.check("hk")
+        space_type = _Rb
     else:
         raise InfeasibleGameError(f"unknown game {game!r}")
+    value = 0
+    if cdag.vertices:
+        space = space_type(cdag, S)
+        # a valid played game caps the search: never explore beyond its cost
+        value = _search(space, _best_known_ub(cdag, S), budget, stats or OracleStats())
     return BoundReport(
         kind="exact",
         value=Fraction(value),
         method="bruteforce",
         params={"S": S, "game": game, "vertices": len(cdag.vertices)},
     )
-
-
-def _bit_setup(cdag: Cdag):
-    order = sorted(cdag.vertices)
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    pred = [0] * n
-    succ = [0] * n
-    for u, v in cdag.edges:
-        pred[idx[v]] |= 1 << idx[u]
-        succ[idx[u]] |= 1 << idx[v]
-    inputs = 0
-    for v in cdag.inputs:
-        inputs |= 1 << idx[v]
-    outputs = 0
-    for v in cdag.outputs:
-        outputs |= 1 << idx[v]
-    return order, idx, n, pred, succ, inputs, outputs
-
-
-def _check_degrees(n, pred, inputs, S):
-    for i in range(n):
-        if not (inputs >> i) & 1 and pred[i].bit_count() + 1 > S:
-            raise InfeasibleGameError(
-                f"S too small for in-degree: a vertex needs {pred[i].bit_count() + 1} pebbles"
-            )
 
 
 def _best_known_ub(cdag: Cdag, S: int):
@@ -97,184 +150,204 @@ def _best_known_ub(cdag: Cdag, S: int):
         return None
 
 
-def _search_rbw(cdag: Cdag, S: int, budget: int) -> int:
-    cdag.check("rbw")
-    order, idx, n, pred, succ, inputs, outputs = _bit_setup(cdag)
-    if n == 0:
-        return 0
-    _check_degrees(n, pred, inputs, S)
-    all_mask = (1 << n) - 1
-    non_outputs = all_mask & ~outputs
+def _search(space, ceiling, budget: int, stats: OracleStats) -> int:
+    g0, h0, start = space.start()
+    heap = [(g0 + h0, -g0, start)]
+    dist = {start: g0}
+    goal, expand = space.goal, space.expand
+    push, pop = heapq.heappush, heapq.heappop
+    expansions = generated = duplicates = prunes = 0
+    peak = 1
+    try:
+        while heap:
+            f, g, state = pop(heap)
+            g = -g
+            if dist[state] != g:
+                continue  # superseded by a cheaper path to the same state
+            if goal(state):
+                return f  # the remainder of a goal state is its exact final cost
+            expansions += 1
+            if expansions > budget:
+                raise BudgetExhaustedError(
+                    f"oracle budget of {budget} expansions exhausted",
+                    best_known=ceiling,
+                    lower=f,
+                )
+            for cost, h, ns in expand(state):
+                generated += 1
+                ng = g + cost
+                if dist.get(ns, ng + 1) <= ng:
+                    duplicates += 1
+                elif ceiling is not None and ng + h > ceiling:
+                    prunes += 1
+                else:
+                    dist[ns] = ng
+                    push(heap, (ng + h, -ng, ns))
+            if len(heap) > peak:
+                peak = len(heap)
+        raise InfeasibleGameError("no complete game exists for this CDAG and S")
+    finally:
+        stats.expansions = min(expansions, budget)
+        stats.generated = generated
+        stats.duplicates = duplicates
+        stats.ceiling_prunes = prunes
+        stats.peak_heap = peak
 
-    consumed_memo: dict[int, int] = {}
 
-    def consumed(white):
-        # fired vertices with every successor fired; memoized per white set
-        m = consumed_memo.get(white)
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b)
+        mask ^= b
+    return out
+
+
+class _Space:
+    """Bit-set view of a CDAG (vertex ``i`` of the sorted ids is bit ``i``)."""
+
+    def __init__(self, cdag: Cdag, S: int):
+        order = sorted(cdag.vertices)
+        idx = {v: i for i, v in enumerate(order)}
+        n = len(order)
+        pred = [0] * n
+        succ = [0] * n
+        for u, v in cdag.edges:
+            pred[idx[v]] |= 1 << idx[u]
+            succ[idx[u]] |= 1 << idx[v]
+        self.pred, self.succ, self.S = pred, succ, S
+        self.inputs = sum(1 << idx[v] for v in cdag.inputs)
+        self.outputs = sum(1 << idx[v] for v in cdag.outputs)
+        self.all = (1 << n) - 1
+        self.sinks = sum(1 << i for i in range(n) if not succ[i])
+        self.fireable = self.all & ~self.inputs
+        for b in _bits(self.fireable):
+            need = pred[b.bit_length() - 1].bit_count() + 1
+            if need > S:
+                raise InfeasibleGameError(f"S too small for in-degree: a vertex needs {need} pebbles")
+
+    def ready(self, candidates: int, available: int) -> list[tuple[int, int]]:
+        """``(v, pred(v))`` for each candidate whose operands are all ``available``."""
+        pred = self.pred
+        return [(b, p) for b in _bits(candidates) if not (p := pred[b.bit_length() - 1]) & ~available]
+
+    def fires(self, red: int, ready: list[tuple[int, int]]):
+        """Yield ``(v, missing, evictions)`` for each ``(v, pred(v))`` in ``ready``.
+
+        ``missing`` are the operands to load; ``evictions`` lists every set
+        of residents outside pred(v) whose eviction makes exactly enough
+        room, as masks (``[0]`` when everything fits).
+        """
+        residents = _bits(red)
+        free = self.S - 1 - len(residents)
+        for b, p in ready:
+            missing = p & ~red
+            evict = missing.bit_count() - free
+            if evict <= 0:
+                yield b, missing, [0]
+                continue
+            pool = [r for r in residents if not r & p]
+            yield b, missing, pool if evict == 1 else [sum(c) for c in combinations(pool, evict)]
+
+
+class _Rbw(_Space):
+    """No-recomputation game; states are ``(white, red, blue)`` masks."""
+
+    def __init__(self, cdag: Cdag, S: int):
+        super().__init__(cdag, S)
+        self.non_outputs = self.all & ~self.outputs
+        self._consumed: dict[int, int] = {}
+        self._ready: dict[int, list] = {}
+
+    def consumed(self, white: int) -> int:
+        """Fired vertices whose successors have all fired; memoized per white set."""
+        m = self._consumed.get(white)
         if m is None:
             m = 0
-            w = white
-            while w:
-                b = w & -w
-                w ^= b
+            succ = self.succ
+            for b in _bits(white):
                 if succ[b.bit_length() - 1] & ~white == 0:
                     m |= b
-            consumed_memo[white] = m
+            self._consumed[white] = m
         return m
 
-    # a valid played game caps the search: never explore beyond its cost
-    ceiling = _best_known_ub(cdag, S)
+    def start(self):
+        # inputs without successors are loaded (and dropped) while memory is empty
+        white = self.inputs & self.sinks if self.S >= 1 else 0
+        blue = self.inputs & ~(white & self.non_outputs)
+        h = (self.inputs & ~white).bit_count() + (self.outputs & ~blue).bit_count()
+        return white.bit_count(), h, (white, 0, blue)
 
-    start = (0, 0, inputs)
-    h0 = inputs.bit_count() + (outputs & ~inputs).bit_count()
-    heap = [(h0, 0, start)]
-    dist = {start: 0}
-    expansions = 0
-    push_heap = heapq.heappush
-    while heap:
-        f, g, state = heapq.heappop(heap)
-        if dist.get(state, -1) != g:
-            continue
+    def goal(self, state) -> bool:
+        return state[0] == self.all
+
+    def expand(self, state):
         white, red, blue = state
-        if white == all_mask and outputs & ~blue == 0:
-            return g
-        expansions += 1
-        if expansions > budget:
-            raise BudgetExhaustedError(
-                f"oracle budget of {budget} expansions exhausted",
-                best_known=ceiling,
-            )
-
-        full = red.bit_count() >= S
-        # droppable pebbles: blue-backed values can always be refetched
-        victims = []
-        if full:
-            vmask = red & blue
-            while vmask:
-                vb = vmask & -vmask
-                vmask ^= vb
-                victims.append(vb)
-
-        def push(nw, nr, nb, cost):
-            done = consumed(nw)
-            settled = done & (non_outputs | nb)
-            nr &= ~settled
-            nb &= ~(done & non_outputs)
-            # a white, unpebbled value with pending work is gone forever
-            if nw & ~nr & ~nb & ((nw & ~done) | outputs):
-                return
-            ns = (nw, nr, nb)
-            ng = g + cost
-            if dist.get(ns, ng + 1) <= ng:
-                return
-            # admissible remainder: first loads of untouched inputs, stores
-            # of unstored outputs, and one reload per evicted pending value
-            nh = (
+        inputs, outputs = self.inputs, self.outputs
+        out = []
+        ready = self._ready.get(white)
+        if ready is None:
+            ready = self._ready[white] = self.ready(self.fireable & ~white, white | inputs)
+        for b, missing, evictions in self.fires(red, ready):
+            nw = white | missing | b
+            done = self.consumed(nw)
+            # a consumed output is stored now, from its last red pebble; the
+            # other consumed values lose their pebbles.  Victims lie outside
+            # pred(v), so firing v consumes none of them.
+            final = done & outputs & ~blue & (red | missing | b)
+            r0 = (red | missing | b) & ~done
+            b0 = (blue | final) & ~(done & self.non_outputs)
+            c0 = missing.bit_count() + final.bit_count()
+            # remainder: first loads, unstored outputs, reloads of evicted pending values
+            h0 = (
                 (inputs & ~nw).bit_count()
-                + (outputs & ~nb).bit_count()
-                + (nw & ~nr & nb & ~done).bit_count()
+                + (outputs & ~b0).bit_count()
+                + (nw & ~done & b0 & ~r0).bit_count()
             )
-            if ceiling is not None and ng + nh > ceiling:
-                return
-            dist[ns] = ng
-            push_heap(heap, (ng + nh, ng, ns))
-
-        # fires: unfired non-inputs with all operands resident
-        fmask = all_mask & ~white & ~inputs
-        while fmask:
-            b = fmask & -fmask
-            fmask ^= b
-            if pred[b.bit_length() - 1] & ~red == 0:
-                if not full:
-                    push(white | b, red | b, blue, 0)
-                else:
-                    p = pred[b.bit_length() - 1]
-                    for vb in victims:
-                        if not p & vb:
-                            push(white | b, (red & ~vb) | b, blue, 0)
-        # loads: blue-backed values that still have work to do
-        lmask = blue & ~red
-        while lmask:
-            b = lmask & -lmask
-            lmask ^= b
-            i = b.bit_length() - 1
-            if not white & b or succ[i] & ~white:
-                if not full:
-                    push(white | b, red | b, blue, 1)
-                else:
-                    for vb in victims:
-                        push(white | b, (red & ~vb) | b, blue, 1)
-        # stores: resident values whose slow-memory copy can matter later
-        smask = red & ~blue
-        while smask:
-            b = smask & -smask
-            smask ^= b
-            i = b.bit_length() - 1
-            if outputs & b or succ[i] & ~white:
-                push(white, red, blue | b, 1)
-    raise InfeasibleGameError("no complete game exists for this CDAG and S")
+            for vm in evictions:
+                # an evicted value without a blue pebble is stored as it goes;
+                # it then needs a reload rather than a store
+                stored = vm & ~blue
+                out.append((
+                    c0 + stored.bit_count(),
+                    h0 + vm.bit_count() - (stored & outputs).bit_count(),
+                    (nw, r0 & ~vm, b0 | vm),
+                ))
+        return out
 
 
-def _search_rb(cdag: Cdag, S: int, budget: int) -> int:
-    cdag.check("hk")
-    order, idx, n, pred, succ, inputs, outputs = _bit_setup(cdag)
-    if n == 0:
-        return 0
-    _check_degrees(n, pred, inputs, S)
-    bits = [1 << i for i in range(n)]
+class _Rb(_Space):
+    """Recomputation game; states are ``(red, blue)`` masks."""
 
-    # a played no-recomputation game is also valid here and caps the search
-    ceiling = _best_known_ub(cdag, S)
+    def start(self):
+        return 0, (self.outputs & ~self.inputs).bit_count(), (0, self.inputs)
 
-    start = (0, inputs)
-    h0 = (outputs & ~inputs).bit_count()
-    heap = [(h0, 0, start)]
-    dist = {start: 0}
-    expansions = 0
-    while heap:
-        f, g, state = heapq.heappop(heap)
-        if dist.get(state, -1) != g:
-            continue
+    def goal(self, state) -> bool:
         red, blue = state
-        if outputs & ~blue == 0:
-            return g
-        expansions += 1
-        if expansions > budget:
-            raise BudgetExhaustedError(
-                f"oracle budget of {budget} expansions exhausted", best_known=ceiling
-            )
+        return self.outputs & ~(red | blue) == 0
 
-        full = red.bit_count() >= S
-        victims = [bits[i] for i in range(n) if red & bits[i]] if full else [0]
-
-        def push(nr, nb, cost):
-            ns = (nr, nb)
-            ng = g + cost
-            if dist.get(ns, ng + 1) <= ng:
-                return
-            nh = (outputs & ~nb).bit_count()
-            if ceiling is not None and ng + nh > ceiling:
-                return
-            dist[ns] = ng
-            heapq.heappush(heap, (ng + nh, ng, ns))
-
-        for i in range(n):
-            b = bits[i]
-            if not inputs & b and pred[i] & ~red == 0 and not red & b:
-                if not full:
-                    push(red | b, blue, 0)
-                else:
-                    for vb in victims:
-                        if vb and not pred[i] & vb:
-                            push((red & ~vb) | b, blue, 0)
-            if blue & b and not red & b and succ[i]:
-                if not full:
-                    push(red | b, blue, 1)
-                else:
-                    for vb in victims:
-                        if vb and vb != b:
-                            push((red & ~vb) | b, blue, 1)
-            if red & b and not blue & b:
-                if outputs & b or succ[i]:
-                    push(red, blue | b, 1)
-    raise InfeasibleGameError("no complete game exists for this CDAG and S")
+    def expand(self, state):
+        red, blue = state
+        outputs = self.outputs
+        out = []
+        # a stored sink is never worth firing again
+        candidates = self.fireable & ~red & ~(self.sinks & blue)
+        for b, missing, evictions in self.fires(red, self.ready(candidates, red | blue)):
+            # a sink is an output (hk tagging) that nothing reads: store it now
+            sink = b & self.sinks
+            nr = red | missing | (b & ~sink)
+            b0 = blue | sink
+            c0 = missing.bit_count() + sink.bit_count()
+            h0 = (outputs & ~b0).bit_count()
+            for vm in evictions:
+                kept = nr & ~vm
+                # an unstored victim is stored, or dropped to be recomputed later
+                unstored = vm & ~blue
+                stored = unstored
+                while True:
+                    h = h0 - (stored & outputs).bit_count()
+                    out.append((c0 + stored.bit_count(), h, (kept, b0 | stored)))
+                    if not stored:
+                        break
+                    stored = (stored - 1) & unstored
+        return out

@@ -170,6 +170,7 @@ ANALYTIC_INSTANCES = {
 
 
 def test_criterion_3_sandwich_suite():
+    started = time.monotonic()
     combos = 0
     violations = []
     for name, ann in SANDWICH_FIXTURES:
@@ -199,7 +200,9 @@ def test_criterion_3_sandwich_suite():
                     violations.append(f"{name} S={S}: analytic {analytic} > optimum {opt}")
     assert combos >= 20
     assert not violations, violations
-    print(f"criterion 3 (sandwich suite, {combos} fixture/S combos, 0 violations): PASS")
+    elapsed = time.monotonic() - started
+    assert elapsed < 10
+    print(f"criterion 3 (sandwich suite, {combos} fixture/S combos, 0 violations, {elapsed:.1f}s): PASS")
 
 
 def test_criterion_4_wavefront_oracle_equivalence():

@@ -73,6 +73,41 @@ class TestValidate:
         assert c.validate("rbw") == expected
         assert c.validate("hk") == expected
 
+    def test_memoized_violations_keep_order_and_are_copies(self):
+        c = make_cdag(3, [(0, 1), (1, 1)], inputs=[1], outputs=[])
+        rbw = ["self-loop at vertex 1", "cycle: 1->1", "input vertex 1 has in-degree 2"]
+        hk = rbw + [
+            "hk: source vertex 0 not tagged as input",
+            "hk: source vertex 2 not tagged as input",
+            "hk: sink vertex 2 not tagged as output",
+        ]
+        for _ in range(2):
+            first = c.validate("hk")
+            assert first == hk
+            first.clear()
+            assert c.validate("rbw") == rbw
+        assert c.validate("hk") == hk
+
+    @pytest.mark.parametrize("command", ["play", "oracle"])
+    def test_cli_scans_each_cdag_once(self, command, monkeypatch, tmp_path):
+        # the player, the oracle and the closing trace check all call
+        # check("rbw") on the same parsed instance
+        from pebblebound.cli import main
+        from pebblebound.formats import format_cdag
+
+        path = tmp_path / "jac.cdag"
+        path.write_text(format_cdag(gen_jacobi(4, 1, 3, 3).cdag), encoding="utf-8")
+        scans = []
+        scan = Cdag._scan
+
+        def counting(self, mode):
+            scans.append(mode)
+            return scan(self, mode)
+
+        monkeypatch.setattr(Cdag, "_scan", counting)
+        assert main([command, "--cdag", str(path), "--S", "4", "--kv"]) == 0
+        assert scans == ["rbw"]
+
 
 class TestInduced:
     def test_full_set_is_identity(self):

@@ -222,6 +222,25 @@ class TestRecords:
         assert ".sha256=" in text
         assert "output.optimum=12" in text
 
+    @pytest.mark.parametrize("argv", [["oracle"], ["bound", "--method", "oracle", "--game", "rb"]])
+    def test_record_carries_oracle_counters_kv_does_not(self, argv, jacobi_files, tmp_path, capsys):
+        cdag, _, _ = jacobi_files
+        rec = tmp_path / "runs.rec"
+        code, out, _ = run_cli(argv + ["--cdag", str(cdag), "--S", "4", "--kv", "--record", str(rec)], capsys)
+        assert code == 0
+        assert "stats." not in out
+        stats = dict(
+            line.split("=", 1) for line in rec.read_text().splitlines() if line.startswith("stats.oracle.")
+        )
+        assert sorted(stats) == [
+            "stats.oracle.ceiling_prunes",
+            "stats.oracle.duplicates",
+            "stats.oracle.expansions",
+            "stats.oracle.generated",
+            "stats.oracle.peak_heap",
+        ]
+        assert int(stats["stats.oracle.expansions"]) > 0
+
     def test_report_prints_records(self, jacobi_files, tmp_path, capsys):
         cdag, _, _ = jacobi_files
         rec = tmp_path / "runs.rec"

@@ -357,6 +357,32 @@ class TestPrbwEdgeRules:
         tally = validate_prbw(c, cfg, trace)
         assert tally.vertical_up == {(1, 1): 1}
 
+    def test_unit_sets_are_made_on_first_use(self):
+        # a one-level hierarchy needs no parent records, so a file may declare
+        # any processor count; memory must follow the units a trace touches
+        import tracemalloc
+
+        units = 10**6
+        cfg = HierarchyConfig(levels=1, units=(units,), capacities=(2,), processors=units)
+        last = units - 1
+        trace = [
+            PrbwMove("Input", 0, unit=last),
+            PrbwMove("Compute", 1, unit=last),
+            PrbwMove("Delete", 0, level=1, unit=last),
+            PrbwMove("Compute", 2, unit=last),
+            PrbwMove("Output", 2, unit=last),
+        ]
+        tracemalloc.start()
+        try:
+            tally = validate_prbw(gen_chain(3).cdag, cfg, trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tally.loads, tally.stores, tally.computes) == (1, 1, {last: 2})
+        assert peak < 1 << 20
+        with pytest.raises(GameError, match=f"step 1 R1: unit {units} out of range at level 1"):
+            validate_prbw(gen_chain(3).cdag, cfg, [PrbwMove("Input", 0, unit=units)])
+
 
 class TestLabelsSurviveSurgery:
     def test_induced_and_retag_keep_labels(self):

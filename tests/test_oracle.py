@@ -7,8 +7,11 @@ the forced-count floor plus an explicit schedule.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebblebound import (
+    Cdag,
     BudgetExhaustedError,
     InfeasibleGameError,
     gen_chain,
@@ -20,6 +23,7 @@ from pebblebound import (
     optimal_io,
 )
 from pebblebound import games, oracle
+from pebblebound.oracle import OracleStats
 
 from conftest import make_cdag
 
@@ -69,6 +73,11 @@ class TestComposite:
     def test_n1_tight_memory(self):
         # frozen oracle value: one rank-1 factor must round-trip at S=3
         assert optimal_io(gen_composite(1).cdag, 3).value == 7
+
+    def test_n2_s4(self):
+        # 31 vertices; the single-move search this oracle replaced needed
+        # 382 s (and a budget above the default) to confirm the same 28
+        assert optimal_io(gen_composite(2).cdag, 4).value == 28
 
 
 class TestStructured:
@@ -123,9 +132,51 @@ class TestBudget:
         assert exc.value.best_known is not None
         assert exc.value.best_known >= 17
 
+    def test_budget_exhaustion_brackets_the_optimum(self):
+        # the popped f-value is a certified lower bound: 12 forced transfers
+        # <= lower <= optimum 17 <= the heuristic's tally
+        with pytest.raises(BudgetExhaustedError) as exc:
+            optimal_io(gen_matmul(2).cdag, 4, budget=10)
+        assert 12 <= exc.value.lower <= 17 <= exc.value.best_known
+
+    @pytest.mark.parametrize("game", ["rbw", "rb"])
+    def test_lower_never_exceeds_optimum(self, game):
+        cdag = gen_jacobi(5, 1, 3, 3).cdag
+        opt = optimal_io(cdag, 4, game=game).value
+        exhausted = 0
+        for budget in (1, 3, 10, 30, 100, 300):
+            try:
+                optimal_io(cdag, 4, game=game, budget=budget)
+            except BudgetExhaustedError as exc:
+                assert exc.lower <= opt
+                exhausted += 1
+        assert exhausted >= 4
+
     def test_zero_budget_rejected(self):
         with pytest.raises(BudgetExhaustedError):
             optimal_io(gen_chain(2).cdag, 2, budget=0)
+
+
+class TestStats:
+    def test_counters_account_for_every_successor(self):
+        stats = OracleStats()
+        optimal_io(gen_matmul(2).cdag, 4, stats=stats)
+        assert stats.expansions > 0
+        assert stats.peak_heap > 0
+        queued = stats.generated - stats.duplicates - stats.ceiling_prunes
+        assert 0 < queued <= stats.generated
+
+    def test_counters_are_deterministic(self):
+        runs = [OracleStats(), OracleStats()]
+        for stats in runs:
+            optimal_io(gen_jacobi(5, 1, 3, 3).cdag, 4, game="rb", stats=stats)
+        assert runs[0] == runs[1]
+
+    def test_budget_exhaustion_reports_the_budget(self):
+        stats = OracleStats()
+        with pytest.raises(BudgetExhaustedError):
+            optimal_io(gen_matmul(2).cdag, 4, budget=10, stats=stats)
+        assert stats.expansions == 10
 
 
 class TestCeiling:
@@ -224,7 +275,81 @@ def naive_rbw_optimum(cdag, S):
     return None
 
 
+def naive_rb_optimum(cdag, S):
+    """Reference search for the recomputation game: plain Dijkstra over
+    (red, blue) with explicit unit loads, stores, computes and deletes.
+
+    Returns None when no complete game exists.
+    """
+    import heapq
+
+    verts = sorted(cdag.vertices)
+    inputs = frozenset(cdag.inputs)
+    outputs = frozenset(cdag.outputs)
+    start = (frozenset(), inputs)
+    dist = {start: 0}
+    heap = [(0, 0, start)]
+    counter = 1
+    while heap:
+        g, _, state = heapq.heappop(heap)
+        if dist.get(state, -1) != g:
+            continue
+        red, blue = state
+        if outputs <= blue:
+            return g
+
+        def push(ns, cost):
+            nonlocal counter
+            ng = g + cost
+            if dist.get(ns, ng + 1) <= ng:
+                return
+            dist[ns] = ng
+            heapq.heappush(heap, (ng, counter, ns))
+            counter += 1
+
+        for v in verts:
+            if v in blue and v not in red and len(red) < S:
+                push((red | {v}, blue), 1)
+            if v in red and v not in blue:
+                push((red, blue | {v}), 1)
+            if v not in red and v not in inputs and cdag.preds[v] <= red and len(red) < S:
+                push((red | {v}, blue), 0)
+            if v in red:
+                push((red - {v}, blue), 0)
+    return None
+
+
+@st.composite
+def tagged_dags(draw, max_n=6):
+    """Small DAG with flexible tagging: any sources may be inputs, any vertices outputs."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    sources = [v for v in range(n) if all(j != v for _, j in edges)]
+    if draw(st.booleans()):
+        # hk tagging: both games apply
+        sinks = [v for v in range(n) if all(i != v for i, _ in edges)]
+        inputs = sources
+        outputs = sorted(set(sinks) | set(draw(st.sets(st.sampled_from(range(n)), max_size=2))))
+    else:
+        inputs = draw(st.sets(st.sampled_from(sources)))
+        outputs = draw(st.sets(st.sampled_from(range(n))))
+    return Cdag.build(range(n), edges, inputs, outputs)
+
+
 class TestAgainstNaiveReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tagged_dags(), st.integers(min_value=1, max_value=4))
+    def test_both_games_match_naive_references(self, cdag, S):
+        played = ("rbw",) if cdag.validate("hk") else ("rbw", "rb")
+        for game in played:
+            naive = (naive_rbw_optimum if game == "rbw" else naive_rb_optimum)(cdag, S)
+            try:
+                fast = int(optimal_io(cdag, S, game=game).value)
+            except InfeasibleGameError:
+                fast = None
+            assert fast == naive, f"{game} {sorted(cdag.edges)} S={S}: {fast} != {naive}"
+
+
     def test_optimized_matches_reference_on_random_graphs(self, rng):
         from conftest import random_dag
 
