@@ -28,13 +28,7 @@ from typing import Iterable, Optional
 from .cdag import Cdag, Partition
 from .errors import BoundError, BudgetExhaustedError
 from .generators import AlgorithmParams
-from .reports import BoundReport
-
-
-def _clamp(value):
-    if isinstance(value, Fraction):
-        return value if value > 0 else Fraction(0)
-    return value if value > 0 else 0.0
+from .reports import BoundReport, nonneg
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +140,7 @@ def spart_lower_bound(cdag: Cdag, S: int, umax: int) -> BoundReport:
     if umax < 0 or S < 1:
         raise BoundError("spart bound needs umax >= 1 and S >= 1")
     work = len(cdag.vertices - cdag.inputs)
-    value = _clamp(Fraction(S) * (Fraction(work, umax) - 1))
+    value = nonneg(Fraction(S) * (Fraction(work, umax) - 1))
     return BoundReport(
         kind="lower",
         value=value,
@@ -458,7 +452,7 @@ def mincut_lower_bound(cdag: Cdag, S: int, candidates: Optional[Iterable[int]] =
     w = wmax(cdag, candidates)
     return BoundReport(
         kind="lower",
-        value=_clamp(Fraction(2) * (w - S)),
+        value=nonneg(Fraction(2) * (w - S)),
         method="mincut",
         symbolic="2*(wmax - S)",
         params={"S": S, "wmax": w},
@@ -492,7 +486,7 @@ def mincut_divide_bound(
         cand = candidates.get(i) if candidates else None
         cand = [c for c in cand if c in core.vertices] if cand else None
         w = wmax(core, cand or None)
-        contribution = _clamp(Fraction(2) * (w - S))
+        contribution = nonneg(Fraction(2) * (w - S))
         per_block.append(w)
         total += contribution
     value = total + len(cdag.inputs) + len(cdag.outputs)
@@ -525,7 +519,7 @@ def vertical_bound_from_sequential(seq_lb: BoundReport, n_units: int) -> BoundRe
     value = seq_lb.value / n_units if isinstance(seq_lb.value, float) else Fraction(seq_lb.value) / n_units
     return BoundReport(
         kind="lower",
-        value=_clamp(value),
+        value=nonneg(value),
         method="transfer",
         symbolic=(seq_lb.symbolic + f" / {n_units}") if seq_lb.symbolic else None,
         params=dict(seq_lb.params, n_units=n_units),
@@ -547,7 +541,7 @@ def vertical_bound_spart(
     value = (Fraction(v_size, umax_2s * n_l) - Fraction(n_lminus1, n_l)) * s_lminus1
     return BoundReport(
         kind="lower",
-        value=_clamp(value),
+        value=nonneg(value),
         method="spart",
         symbolic="(|V|/(umax*N_l) - N_(l-1)/N_l) * S_(l-1)",
         asymptotic="~ |V|*S_(l-1)/(umax*N_l)",
@@ -573,7 +567,7 @@ def horizontal_bound_spart(v_size: int, umax_2sl: int, s_l: int, p_i: int) -> Bo
     value = (Fraction(v_size, umax_2sl * p_i) - 1) * s_l
     return BoundReport(
         kind="lower",
-        value=_clamp(value),
+        value=nonneg(value),
         method="spart",
         symbolic="(|V|/(umax*P_i) - 1) * S_L",
         params={"v_size": v_size, "umax": umax_2sl, "s_l": s_l, "p_i": p_i},
@@ -597,7 +591,7 @@ def analytic_lb(algorithm: str, params: AlgorithmParams, P: int = 1, S: int = 0)
         raise BoundError("P must be >= 1 and S >= 0")
     n, d, T, m = params.n, params.d, params.T, params.m
     if algorithm == "cg":
-        value = _clamp(Fraction(T) * 2 * (3 * n**d - 2 * S) / P)
+        value = nonneg(Fraction(T) * 2 * (3 * n**d - 2 * S) / P)
         return BoundReport(
             kind="lower", value=value, method="analytic",
             symbolic="T*2*(3*n^d - 2S)/P",
@@ -605,7 +599,7 @@ def analytic_lb(algorithm: str, params: AlgorithmParams, P: int = 1, S: int = 0)
             params={"n": n, "d": d, "T": T, "P": P, "S": S},
         )
     if algorithm == "gmres":
-        value = _clamp(Fraction(m) * 2 * (3 * n**d - S) / P)
+        value = nonneg(Fraction(m) * 2 * (3 * n**d - S) / P)
         return BoundReport(
             kind="lower", value=value, method="analytic",
             symbolic="m*2*(3*n^d - S)/P",
@@ -615,7 +609,7 @@ def analytic_lb(algorithm: str, params: AlgorithmParams, P: int = 1, S: int = 0)
     if algorithm == "jacobi":
         if S < 1:
             raise BoundError("the stencil bound needs S >= 1")
-        value = _clamp(Fraction(n**d * T, 4 * P) / _real_root(2 * S, d))
+        value = nonneg(Fraction(n**d * T, 4 * P) / _real_root(2 * S, d))
         return BoundReport(
             kind="lower", value=value, method="analytic",
             symbolic="n^d*T/(4*P*(2S)^(1/d))",
@@ -624,7 +618,7 @@ def analytic_lb(algorithm: str, params: AlgorithmParams, P: int = 1, S: int = 0)
     if algorithm == "matmul":
         if S < 1:
             raise BoundError("the matmul bound needs S >= 1")
-        value = _clamp(Fraction(n**3, 2) / _real_root(2 * S, 2))
+        value = nonneg(Fraction(n**3, 2) / _real_root(2 * S, 2))
         return BoundReport(
             kind="lower", value=value, method="analytic",
             symbolic="N^3/(2*sqrt(2S))",
@@ -654,7 +648,7 @@ def analytic_horizontal_ub(algorithm: str, params: AlgorithmParams, n_nodes: int
     if n_nodes < 1:
         raise BoundError("n_nodes must be >= 1")
     n, d, T, m = params.n, params.d, params.T, params.m
-    B = _root_extent(n, d, n_nodes)
+    B = n / _real_root(n_nodes, d)
     iters = m if algorithm == "gmres" else T
     if algorithm not in ("cg", "gmres", "jacobi"):
         raise BoundError(f"no horizontal upper bound for algorithm {algorithm!r}")
@@ -681,13 +675,3 @@ def analytic_horizontal_ub(algorithm: str, params: AlgorithmParams, n_nodes: int
         params={"n": n, "d": d, "iters": iters, "n_nodes": n_nodes,
                 "B": float(B), "ghost": float(ghost)},
     )
-
-
-def _root_extent(n: int, d: int, n_nodes: int):
-    """n / n_nodes^(1/d) as a Fraction when the root is exact, else float."""
-    if d == 1:
-        return Fraction(n, n_nodes)
-    root = round(n_nodes ** (1.0 / d))
-    if root**d == n_nodes:
-        return Fraction(n, root)
-    return n / n_nodes ** (1.0 / d)

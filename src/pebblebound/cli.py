@@ -1,15 +1,21 @@
 """Command-line driver tying generators, validators, oracles, and bounds.
 
 Exit codes: 0 success, 1 domain failure (invalid game, infeasible
-instance), 2 usage error, 3 search budget exhausted.
+instance, unreadable input), 2 usage error, 3 search budget exhausted.
+A failed run prints one ``error: ...`` line on stderr and nothing on stdout.
 
 Two output streams: the default human-readable text (which may mention
 wall time), and ``--kv``, a deterministic line-oriented ``key=value``
 stream that is byte-identical across runs on identical inputs.  With
-``--record PATH`` every command appends a run record carrying the command
-line, sha256 digests of every file input, its outputs and, for engines
-that count their work, ``stats.<engine>.<counter>`` lines (records only,
+``--record PATH`` every command but ``report`` appends a run record, on
+every exit, carrying the command line, sha256 digests of every file
+input, its outputs, ``stats.<engine>.<counter>`` lines for engines that
+count their work, the exit code and, on failure, the error (records only,
 so ``--kv`` stays byte-identical).
+
+``main`` owns the invocation's one :class:`_Run`: a ``cmd_*`` function
+only reads inputs through it and emits outputs, and ``main`` turns its
+errors into exit codes and finishes the run on every path.
 """
 
 from __future__ import annotations
@@ -29,10 +35,9 @@ from .bounds import (
     mincut_lower_bound,
     spart_lower_bound,
     umax_bruteforce,
-    wmax,
 )
 from .cdag import Cdag, Partition
-from .errors import BudgetExhaustedError, FormatError, GameError, InfeasibleGameError, PebbleboundError
+from .errors import BudgetExhaustedError, FormatError, PebbleboundError
 from .formats import (
     format_annotations,
     format_cdag,
@@ -49,7 +54,7 @@ from .reports import BoundReport, render
 
 
 class _Run:
-    """Collects key=value outputs and run-record bookkeeping."""
+    """One invocation: its key=value outputs, input digests and run record."""
 
     def __init__(self, args, argv):
         self.kv = bool(getattr(args, "kv", False))
@@ -57,29 +62,52 @@ class _Run:
         self.argv = argv
         self.pairs: list[tuple[str, str]] = []
         self.digests: list[tuple[str, str]] = []
-        self.stats: list[tuple[str, int]] = []
+        self.stats: list[tuple[str, object]] = []
+        self.code = 0
+        self.error: PebbleboundError | OSError | None = None
         self.started = time.monotonic()
 
     def emit(self, key: str, value) -> None:
         self.pairs.append((key, render(value)))
 
     def record_stats(self, engine: str, stats) -> None:
-        """Queue an engine's work counters (a dataclass) for the run record."""
-        for f in dataclasses.fields(stats):
-            self.stats.append((f"stats.{engine}.{f.name}", getattr(stats, f.name)))
+        """Write an engine's work counters (a dataclass) to the run record.
 
-    def digest(self, path: str) -> None:
+        The counters are read when the record is written, so an engine may
+        fill them after this call, even on its way out with an error.
+        """
+        self.stats.append((engine, stats))
+
+    def digest(self, path: str) -> bytes:
+        """An input file's bytes, read once; their sha256 goes to the record."""
         data = Path(path).read_bytes()
         self.digests.append((path, hashlib.sha256(data).hexdigest()))
+        return data
+
+    def read(self, path: str) -> str:
+        """An input file's UTF-8 text, digested for the record."""
+        data = self.digest(path)
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+    def fail(self, code: int, error) -> None:
+        """End the run with exit ``code``: one ``error:`` line on stderr."""
+        print(f"error: {error}", file=sys.stderr)
+        self.code, self.error = code, error
 
     def finish(self) -> None:
-        if self.kv:
-            for k, v in self.pairs:
-                print(f"{k}={v}")
-        else:
-            for k, v in self.pairs:
-                print(f"{k} = {v}")
-            print(f"(wall time {time.monotonic() - self.started:.3f}s)")
+        """Print a successful run's outputs; append the run record on every exit."""
+        # a failed run prints nothing here, nor does a command without outputs (report)
+        if self.pairs and self.error is None:
+            if self.kv:
+                for k, v in self.pairs:
+                    print(f"{k}={v}")
+            else:
+                for k, v in self.pairs:
+                    print(f"{k} = {v}")
+                print(f"(wall time {time.monotonic() - self.started:.3f}s)")
         if self.record_path:
             with open(self.record_path, "a", encoding="utf-8") as fh:
                 fh.write("record 1\n")
@@ -90,8 +118,16 @@ class _Run:
                     fh.write(f"input.{path}.sha256={digest}\n")
                 for k, v in self.pairs:
                     fh.write(f"output.{k}={v}\n")
-                for k, v in self.stats:
-                    fh.write(f"{k}={v}\n")
+                for engine, stats in self.stats:
+                    for f in dataclasses.fields(stats):
+                        fh.write(f"stats.{engine}.{f.name}={getattr(stats, f.name)}\n")
+                fh.write(f"exit={self.code}\n")
+                if self.error is not None:
+                    fh.write(f"error={self.error}\n")
+                    for attr in ("best_known", "lower"):  # BudgetExhaustedError's bracket
+                        value = getattr(self.error, attr, None)
+                        if value is not None:
+                            fh.write(f"error.{attr}={render(value)}\n")
 
 
 def _emit_report(run: _Run, prefix: str, rep: BoundReport) -> None:
@@ -106,11 +142,6 @@ def _emit_report(run: _Run, prefix: str, rep: BoundReport) -> None:
         run.emit(f"{prefix}.param.{k}", rep.params[k])
     for i, step in enumerate(rep.provenance):
         run.emit(f"{prefix}.provenance.{i}", step)
-
-
-def _load_cdag(run: _Run, path: str) -> Cdag:
-    run.digest(path)
-    return parse_cdag(Path(path).read_text(encoding="utf-8"))
 
 
 def _params_from_args(args) -> AlgorithmParams:
@@ -134,8 +165,7 @@ def _add_alg_flags(p, with_alg=True):
     p.add_argument("--stencil-points", type=int, default=None, dest="stencil_points")
 
 
-def cmd_generate(args, argv) -> int:
-    run = _Run(args, argv)
+def cmd_generate(args, run: _Run) -> None:
     ann = generate(_params_from_args(args))
     Path(args.out).write_text(format_cdag(ann.cdag), encoding="utf-8")
     run.emit("cdag", args.out)
@@ -148,20 +178,15 @@ def cmd_generate(args, argv) -> int:
         run.emit("annotations", args.annotations)
         run.emit("slabs", len(ann.slabs))
         run.emit("anchors", " ".join(str(a) for a in ann.wavefront_anchors))
-    run.finish()
-    return 0
 
 
-def cmd_validate(args, argv) -> int:
-    run = _Run(args, argv)
-    cdag = _load_cdag(run, args.cdag)
-    run.digest(args.trace)
-    game, moves = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
+def cmd_validate(args, run: _Run) -> None:
+    cdag = parse_cdag(run.read(args.cdag))
+    game, moves = parse_trace(run.read(args.trace))
     if game == "prbw":
         if not args.hier:
             raise FormatError("hierarchical traces need --hier")
-        run.digest(args.hier)
-        config = parse_hierarchy(Path(args.hier).read_text(encoding="utf-8"))
+        config = parse_hierarchy(run.read(args.hier))
         tally = validate_prbw(cdag, config, moves)
         run.emit("game", "prbw")
         run.emit("loads", tally.loads)
@@ -185,13 +210,10 @@ def cmd_validate(args, argv) -> int:
         run.emit("loads", tally.loads)
         run.emit("stores", tally.stores)
         run.emit("io", tally.io)
-    run.finish()
-    return 0
 
 
-def cmd_play(args, argv) -> int:
-    run = _Run(args, argv)
-    cdag = _load_cdag(run, args.cdag)
+def cmd_play(args, run: _Run) -> None:
+    cdag = parse_cdag(run.read(args.cdag))
     trace, tally = heuristic_game(cdag, args.S)
     run.emit("S", args.S)
     run.emit("loads", tally.loads)
@@ -200,77 +222,60 @@ def cmd_play(args, argv) -> int:
     if args.trace_out:
         Path(args.trace_out).write_text(format_trace("rbw", trace), encoding="utf-8")
         run.emit("trace", args.trace_out)
-    run.finish()
-    return 0
 
 
-def cmd_oracle(args, argv) -> int:
-    run = _Run(args, argv)
-    cdag = _load_cdag(run, args.cdag)
+def _optimum(run: _Run, cdag: Cdag, args):
+    # counters registered first, so the record keeps them when the budget runs out
     stats = OracleStats()
-    rep = optimal_io(cdag, args.S, game=args.game, budget=args.budget, stats=stats)
     run.record_stats("oracle", stats)
+    return optimal_io(cdag, args.S, game=args.game, budget=args.budget, stats=stats)
+
+
+def cmd_oracle(args, run: _Run) -> None:
+    rep = _optimum(run, parse_cdag(run.read(args.cdag)), args)
     run.emit("game", args.game)
     run.emit("S", args.S)
     run.emit("optimum", rep.value)
-    run.finish()
-    return 0
 
 
-def cmd_bound(args, argv) -> int:
-    run = _Run(args, argv)
+def cmd_bound(args, run: _Run) -> None:
     if args.method == "analytic":
         if not args.alg:
             raise FormatError("--method analytic needs --alg")
         rep = analytic_lb(args.alg, _params_from_args(args), P=args.P, S=args.S or 0)
-        _emit_report(run, "bound", rep)
-        run.finish()
-        return 0
-    if not args.cdag:
+    elif not args.cdag:
         raise FormatError(f"--method {args.method} needs --cdag")
-    if args.S is None:
+    elif args.S is None:
         raise FormatError(f"--method {args.method} needs --S")
-    cdag = _load_cdag(run, args.cdag)
-    if args.method == "oracle":
-        stats = OracleStats()
-        rep = optimal_io(cdag, args.S, game=args.game, budget=args.budget, stats=stats)
-        run.record_stats("oracle", stats)
-    elif args.method == "spart":
-        umax = args.umax
-        if umax is None:
-            umax = umax_bruteforce(cdag, 2 * args.S, budget=args.budget)
-            run.emit("umax.bruteforced", umax)
-        rep = spart_lower_bound(cdag, args.S, umax)
-    elif args.method == "mincut":
-        anchors = None
-        if args.anchors:
-            run.digest(args.anchors)
-            anchors = parse_annotations(Path(args.anchors).read_text(encoding="utf-8")).anchors
-        rep = mincut_lower_bound(cdag, args.S, anchors or None)
-    elif args.method == "mincut-divide":
-        if not args.partition:
-            raise FormatError("--method mincut-divide needs --partition")
-        run.digest(args.partition)
-        ann = parse_annotations(Path(args.partition).read_text(encoding="utf-8"))
-        part = Partition.of(ann.slabs.values())
-        rep = mincut_divide_bound(cdag, part, args.S)
     else:
-        raise FormatError(f"unknown method {args.method!r}")
+        cdag = parse_cdag(run.read(args.cdag))
+        if args.method == "oracle":
+            rep = _optimum(run, cdag, args)
+        elif args.method == "spart":
+            umax = args.umax
+            if umax is None:
+                umax = umax_bruteforce(cdag, 2 * args.S, budget=args.budget)
+                run.emit("umax.bruteforced", umax)
+            rep = spart_lower_bound(cdag, args.S, umax)
+        elif args.method == "mincut":
+            anchors = None
+            if args.anchors:
+                anchors = parse_annotations(run.read(args.anchors)).anchors
+            rep = mincut_lower_bound(cdag, args.S, anchors or None)
+        else:  # mincut-divide
+            if not args.partition:
+                raise FormatError("--method mincut-divide needs --partition")
+            ann = parse_annotations(run.read(args.partition))
+            rep = mincut_divide_bound(cdag, Partition.of(ann.slabs.values()), args.S)
     _emit_report(run, "bound", rep)
-    run.finish()
-    return 0
 
 
-def cmd_analyze(args, argv) -> int:
-    run = _Run(args, argv)
-    machine_path = Path(str(args.machine))
-    if machine_path.is_file():
-        run.digest(str(machine_path))
+def cmd_analyze(args, run: _Run) -> None:
+    if Path(args.machine).is_file():
+        run.digest(args.machine)
     machine = load_machine(args.machine)
     report = analyze(args.alg, _params_from_args(args), machine)
     _emit_analysis(run, report, args.level)
-    run.finish()
-    return 0
 
 
 def _emit_analysis(run: _Run, report: AnalysisReport, level=None) -> None:
@@ -291,12 +296,11 @@ def _emit_analysis(run: _Run, report: AnalysisReport, level=None) -> None:
         run.emit(f"threshold.{name}.published", f"{thr.published:.4g}")
 
 
-def cmd_report(args, argv) -> int:
+def cmd_report(args, run: _Run) -> None:
     for path in args.records:
-        text = Path(path).read_text(encoding="utf-8")
+        text = run.read(path)
         print(f"# {path}")
         print(text.rstrip())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,26 +381,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="print previously recorded run records")
     p.add_argument("records", nargs="+")
-    common(p)
     p.set_defaults(func=cmd_report)
     return top
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = _Run(args, ["pebblebound"] + argv)
     try:
-        return args.func(args, ["pebblebound"] + argv)
+        args.func(args, run)
     except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (GameError, InfeasibleGameError, FormatError, PebbleboundError) as exc:
+        run.fail(3, exc)
+    except (PebbleboundError, OSError) as exc:
+        run.fail(1, exc)
+    try:
+        run.finish()
+    except OSError as exc:  # the --record file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return run.code
 
 
 if __name__ == "__main__":

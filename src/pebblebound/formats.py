@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from .cdag import Cdag
 from .errors import FormatError
-from .games import HierarchyConfig, PrbwMove, RbwMove
+from .games import PRBW_RULE, RBW_RULE, HierarchyConfig, PrbwMove, RbwMove
 
 
 def _lines(text: str):
@@ -186,15 +186,18 @@ def format_annotations(ann) -> str:
 # trace format
 # ---------------------------------------------------------------------------
 
-_RBW_BY_RULE = {"R1": "Input", "R2": "Output", "R3": "Compute", "R4": "Delete"}
-_PRBW_BY_RULE = {
-    "R1": "Input",
-    "R2": "Output",
-    "R3": "RemoteGet",
-    "R4": "MoveUp",
-    "R5": "MoveDown",
-    "R6": "Compute",
-    "R7": "Delete",
+_RBW_BY_RULE = {rule: kind for kind, rule in RBW_RULE.items()}
+_PRBW_BY_RULE = {rule: kind for kind, rule in PRBW_RULE.items()}
+
+# the PrbwMove fields a hierarchical trace line lists after its rule tag
+_PRBW_FIELDS = {
+    "R1": ("vertex", "unit"),
+    "R2": ("vertex", "unit"),
+    "R3": ("vertex", "src_unit", "unit"),
+    "R4": ("vertex", "level", "unit"),
+    "R5": ("vertex", "level", "unit"),
+    "R6": ("vertex", "unit"),
+    "R7": ("vertex", "level", "unit"),
 }
 
 
@@ -224,45 +227,25 @@ def _parse_prbw_moves(rows) -> list[PrbwMove]:
     moves = []
     for lineno, toks in rows:
         rule = toks[0]
-        kind = _PRBW_BY_RULE.get(rule)
-        if kind is None:
+        fields = _PRBW_FIELDS.get(rule)
+        if fields is None:
             raise FormatError(f"line {lineno}: unknown rule {rule!r}")
-        args = toks[1:]
         try:
-            if rule in ("R1", "R2"):  # R1 <v> <unit> / R2 <v> <unit>
-                v, unit = (int(a) for a in args)
-                moves.append(PrbwMove(kind, v, level=0, unit=unit))
-            elif rule == "R3":  # R3 <v> <src> <dst>
-                v, src, dst = (int(a) for a in args)
-                moves.append(PrbwMove(kind, v, level=0, unit=dst, src_unit=src))
-            elif rule == "R6":  # R6 <v> <proc>
-                v, proc = (int(a) for a in args)
-                moves.append(PrbwMove(kind, v, level=1, unit=proc))
-            else:  # R4/R5/R7 <v> <level> <unit>
-                v, level, unit = (int(a) for a in args)
-                moves.append(PrbwMove(kind, v, level=level, unit=unit))
-        except (ValueError, TypeError):
+            args = dict(zip(fields, map(int, toks[1:]), strict=True))
+        except ValueError:
             raise FormatError(f"line {lineno}: bad arguments for {rule}") from None
+        moves.append(PrbwMove(_PRBW_BY_RULE[rule], **args))
     return moves
 
 
 def format_trace(game: str, moves) -> str:
-    from .games import PRBW_RULE, RBW_RULE
-
     out = [f"trace {game} 1"]
     for m in moves:
         if game == "rbw":
             out.append(f"{RBW_RULE[m.kind]} {m.vertex}")
         else:
             rule = PRBW_RULE[m.kind]
-            if rule in ("R1", "R2"):
-                out.append(f"{rule} {m.vertex} {m.unit}")
-            elif rule == "R3":
-                out.append(f"{rule} {m.vertex} {m.src_unit} {m.unit}")
-            elif rule == "R6":
-                out.append(f"{rule} {m.vertex} {m.unit}")
-            else:
-                out.append(f"{rule} {m.vertex} {m.level} {m.unit}")
+            out.append(" ".join([rule] + [str(getattr(m, f)) for f in _PRBW_FIELDS[rule]]))
     return "\n".join(out) + "\n"
 
 

@@ -27,10 +27,8 @@ from typing import Iterable, Optional
 from .cdag import Cdag
 from .errors import CdagError, GameError, InfeasibleGameError
 
-RBW_KINDS = ("Input", "Output", "Compute", "Delete")
-PRBW_KINDS = ("Input", "Output", "RemoteGet", "MoveUp", "MoveDown", "Compute", "Delete")
-
-# rule tags used in trace files and error messages
+# move kind -> rule tag, as trace files and error messages write it; the
+# keys are every kind a move of that game may have
 RBW_RULE = {"Input": "R1", "Output": "R2", "Compute": "R3", "Delete": "R4"}
 PRBW_RULE = {
     "Input": "R1",
@@ -51,7 +49,7 @@ class RbwMove:
     vertex: int
 
     def __post_init__(self):
-        if self.kind not in RBW_KINDS:
+        if self.kind not in RBW_RULE:
             raise GameError(f"unknown move kind {self.kind!r}")
 
 
@@ -71,7 +69,7 @@ class PrbwMove:
     src_unit: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in PRBW_KINDS:
+        if self.kind not in PRBW_RULE:
             raise GameError(f"unknown move kind {self.kind!r}")
 
 

@@ -19,10 +19,11 @@ Value = Union[Fraction, float]
 METHODS = ("spart", "mincut", "analytic", "bruteforce", "heuristic-game", "transfer")
 
 
-def _nonneg(value: Value) -> Value:
+def nonneg(value: Value) -> Value:
+    """``value`` clamped at zero, keeping its type (Fraction or float)."""
     if isinstance(value, Fraction):
-        return value if value >= 0 else Fraction(0)
-    return value if value >= 0 else 0.0
+        return value if value > 0 else Fraction(0)
+    return value if value > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def transfer_bound(report: BoundReport, rule: str, di_size: int, do_size: int) -
         raise BoundError("dI/dO sizes are nonnegative")
     delta = di_size + do_size
     if rule == "tagging":
-        value = _nonneg(report.value - delta)
+        value = nonneg(report.value - delta)
         step = f"tagging: -|dI|({di_size}) -|dO|({do_size})"
     elif rule == "untagging":
         value = report.value

@@ -221,6 +221,8 @@ class TestRecords:
         assert "record 1" in text
         assert ".sha256=" in text
         assert "output.optimum=12" in text
+        assert "exit=0" in text.splitlines()
+        assert "error=" not in text
 
     @pytest.mark.parametrize("argv", [["oracle"], ["bound", "--method", "oracle", "--game", "rb"]])
     def test_record_carries_oracle_counters_kv_does_not(self, argv, jacobi_files, tmp_path, capsys):
@@ -248,3 +250,69 @@ class TestRecords:
         code, out, _ = run_cli(["report", str(rec)], capsys)
         assert code == 0
         assert "output.optimum=12" in out
+
+    def test_budget_exit_3_writes_record_with_counters_and_bracket(self, jacobi_files, tmp_path, capsys):
+        cdag, _, _ = jacobi_files
+        rec = tmp_path / "r.rec"
+        code, out, err = run_cli(
+            ["oracle", "--cdag", str(cdag), "--S", "4", "--budget", "10", "--kv", "--record", str(rec)],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: oracle budget of 10 expansions exhausted (best known upper bound: 15)\n"
+        lines = rec.read_text().splitlines()
+        fields = dict(line.split("=", 1) for line in lines[1:])
+        assert fields["stats.oracle.expansions"] == "10"
+        assert fields["exit"] == "3"
+        assert fields["error"] == err[len("error: "):].rstrip("\n")
+        assert fields["error.best_known"] == "15"
+        assert int(fields["error.lower"]) <= 12  # the optimum at S=4
+        assert not any(line.startswith("output.") for line in lines)
+
+    def test_failed_validate_writes_record_with_exit_1(self, jacobi_files, tmp_path, capsys):
+        cdag, _, _ = jacobi_files
+        trace = tmp_path / "t.trace"
+        run_cli(["play", "--cdag", str(cdag), "--S", "4", "--trace-out", str(trace)], capsys)
+        rec = tmp_path / "v.rec"
+        code, out, err = run_cli(
+            ["validate", "--cdag", str(cdag), "--trace", str(trace), "--S", "2", "--record", str(rec)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        lines = rec.read_text().splitlines()
+        assert "exit=1" in lines
+        assert "error=step 3 R1 vertex 2: red capacity 2 exceeded" in lines
+        assert sum(".sha256=" in line for line in lines) == 2  # the CDAG and the trace
+
+    @pytest.mark.parametrize("flag", [["--kv"], ["--record", "x.rec"]])
+    def test_report_takes_no_kv_or_record(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report"] + flag + [str(tmp_path / "runs.rec")])
+        assert exc.value.code == 2
+
+
+class TestUnreadableInput:
+    @pytest.fixture(params=["directory", "not-utf8"])
+    def bad_path(self, request, tmp_path):
+        if request.param == "directory":
+            path = tmp_path / "adir"
+            path.mkdir()
+        else:
+            path = tmp_path / "latin1.cdag"
+            path.write_bytes("cdag 1\nv 0 label=caf\xe9\n".encode("latin-1"))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [["play", "--S", "4", "--cdag"], ["report"]])
+    def test_exit_1_with_one_error_line(self, argv, bad_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pebblebound.cli"] + argv + [bad_path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+        assert bad_path in proc.stderr
+        assert proc.stdout == ""

@@ -86,6 +86,7 @@ class TestTraces:
     def test_rbw_roundtrip(self):
         ann = gen_jacobi(3, 1, 2, 3)
         trace, _ = heuristic_game(ann.cdag, 4)
+        assert {m.kind for m in trace} == {"Input", "Output", "Compute", "Delete"}
         game, parsed = parse_trace(format_trace("rbw", trace))
         assert game == "rbw"
         assert parsed == trace
@@ -100,11 +101,18 @@ class TestTraces:
             PrbwMove("Compute", 3, unit=1),
             PrbwMove("Delete", 3, level=1, unit=1),
         ]
-        game, parsed = parse_trace(format_trace("prbw", moves))
-        assert game == "prbw"
-        assert [m.kind for m in parsed] == [m.kind for m in moves]
-        assert parsed[2].src_unit == 0 and parsed[2].unit == 1
-        assert parsed[5].unit == 1
+        assert parse_trace(format_trace("prbw", moves)) == ("prbw", moves)
+
+    def test_prbw_unknown_rule(self):
+        with pytest.raises(FormatError) as exc:
+            parse_trace("trace prbw 1\nR1 0 0\nR8 0 0\n")
+        assert str(exc.value) == "line 3: unknown rule 'R8'"
+
+    @pytest.mark.parametrize("args", ["1 0", "1 0 1 2", "1 x 1"])
+    def test_prbw_bad_arguments(self, args):
+        with pytest.raises(FormatError) as exc:
+            parse_trace(f"trace prbw 1\nR3 {args}\n")
+        assert str(exc.value) == "line 2: bad arguments for R3"
 
     def test_bad_header(self):
         with pytest.raises(FormatError, match="header"):

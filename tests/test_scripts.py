@@ -1,0 +1,30 @@
+"""The experiment scripts run end to end and print their tables."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, header",
+    [
+        ("desk_suite.py", "instance          S   spart  mincut  analytic  optimum  heuristic    time"),
+        ("balance_survey.py", "=== bgq: N_nodes=2048, vbal=0.052, hbal=0.049 ==="),
+    ],
+)
+def test_script_runs_and_prints_header(script, header):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header
