@@ -133,8 +133,10 @@ def spart_lower_bound(cdag: Cdag, S: int, umax: int) -> BoundReport:
     """Partition-counting bound: S * (|V - I| / umax - 1), clamped at zero.
 
     ``umax`` must upper-bound the size of any block a complete game at
-    capacity S can induce (see :func:`umax_bruteforce`).
+    capacity S can induce (see :func:`umax_bruteforce`); the CDAG must pass
+    ``check("rbw")``.
     """
+    cdag.check("rbw")
     if umax == 0:
         raise BoundError("umax must be >= 1")
     if umax < 0 or S < 1:
@@ -157,8 +159,10 @@ def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = 2_000_000) -> int:
     boundary conditions checked per candidate), so it is exponential and
     budget-gated; meant for graphs in the mid-teens of vertices at most.
     A game-induced block is always convex -- its vertices fire inside one
-    time window -- so this cardinality is a sound ``umax``.
+    time window -- so this cardinality is a sound ``umax``.  The CDAG must
+    pass ``check("rbw")``: convexity needs a topological order.
     """
+    cdag.check("rbw")
     if twoS < 0:
         raise BoundError("twoS must be nonnegative")
     work = sorted(cdag.vertices - cdag.inputs)
@@ -178,7 +182,7 @@ def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = 2_000_000) -> int:
 
     up = [0] * n  # reachability within the work set
     down = [0] * n
-    order = [v for v in cdag.topological_order or () if v in idx]
+    order = [v for v in cdag.topological_order if v in idx]
     for v in order:
         i = idx[v]
         for j in range(n):
@@ -238,12 +242,17 @@ def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = 2_000_000) -> int:
 
 
 class _Dinic:
-    """Standard Dinic max-flow on an explicit adjacency structure."""
+    """Standard Dinic max-flow on an explicit adjacency structure.
+
+    After :meth:`max_flow`, ``level[v] >= 0`` exactly on the nodes its last
+    BFS reached: the source side of a minimum cut.
+    """
 
     INF = 1 << 60
 
     def __init__(self, n: int):
         self.graph: list[list[list[int]]] = [[] for _ in range(n)]
+        self.level: list[int] = []
 
     def add_edge(self, u: int, v: int, cap: int) -> None:
         self.graph[u].append([v, cap, len(self.graph[v])])
@@ -252,7 +261,7 @@ class _Dinic:
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while True:
-            level = self._levels(s)
+            level = self.level = self._levels(s)
             if level[t] < 0:
                 return flow
             flow += self._blocking_flow(s, t, level)
@@ -313,19 +322,6 @@ class _Dinic:
                 it[u] += 1
             else:
                 return flow
-
-    def residual_reachable(self, s: int) -> set[int]:
-        from collections import deque
-
-        seen = {s}
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    dq.append(v)
-        return seen
 
 
 def _split_network(vertices: Iterable[int]) -> tuple[_Dinic, dict[int, int], int, int]:
@@ -402,8 +398,8 @@ def wavefront_min(cdag: Cdag, x: int) -> Wavefront:
             dinic.add_edge(2 * idx[w], 2 * idx[u], _Dinic.INF)
     flow = dinic.max_flow(s, t)
 
-    reach = dinic.residual_reachable(s)
-    s_side = {x} | anc | {v for v, i in idx.items() if 2 * i in reach}
+    level = dinic.level
+    s_side = {x} | anc | {v for v, i in idx.items() if level[2 * i] >= 0}
     t_side = cdag.vertices - s_side
     cut = frozenset(
         v for v in s_side if v != x and any(w in t_side for w in cdag.succs[v])
@@ -459,12 +455,7 @@ def mincut_lower_bound(cdag: Cdag, S: int, candidates: Optional[Iterable[int]] =
     )
 
 
-def mincut_divide_bound(
-    cdag: Cdag,
-    partition: Partition,
-    S: int,
-    candidates: Optional[dict[int, Iterable[int]]] = None,
-) -> BoundReport:
+def mincut_divide_bound(cdag: Cdag, partition: Partition, S: int) -> BoundReport:
     """Divide-and-conquer wavefront bound over a disjoint partition.
 
     Each block is induced, stripped of its global inputs and outputs, and
@@ -476,16 +467,13 @@ def mincut_divide_bound(
         raise BoundError("invalid partition: " + "; ".join(violations))
     total = Fraction(0)
     per_block = []
-    for i, blk in enumerate(partition.blocks):
-        sub = cdag.induced(blk)
-        core = sub.induced(sub.vertices - sub.inputs - sub.outputs)
-        core = Cdag(core.vertices, core.edges, frozenset(), frozenset(), core.labels)
+    for blk in partition.blocks:
+        # untagged: the block minus the global inputs and outputs
+        core = cdag.induced(blk - cdag.inputs - cdag.outputs)
         if not core.vertices:
             per_block.append(0)
             continue
-        cand = candidates.get(i) if candidates else None
-        cand = [c for c in cand if c in core.vertices] if cand else None
-        w = wmax(core, cand or None)
+        w = wmax(core)
         contribution = nonneg(Fraction(2) * (w - S))
         per_block.append(w)
         total += contribution

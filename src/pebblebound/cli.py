@@ -45,6 +45,7 @@ from .formats import (
     parse_annotations,
     parse_cdag,
     parse_hierarchy,
+    parse_machine,
     parse_trace,
 )
 from .games import heuristic_game, validate_prbw, validate_rb, validate_rbw
@@ -272,8 +273,9 @@ def cmd_bound(args, run: _Run) -> None:
 
 def cmd_analyze(args, run: _Run) -> None:
     if Path(args.machine).is_file():
-        run.digest(args.machine)
-    machine = load_machine(args.machine)
+        machine = parse_machine(run.read(args.machine))
+    else:
+        machine = load_machine(args.machine)
     report = analyze(args.alg, _params_from_args(args), machine)
     _emit_analysis(run, report, args.level)
 

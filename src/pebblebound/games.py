@@ -462,6 +462,19 @@ def validate_prbw(cdag: Cdag, config: HierarchyConfig, trace: Iterable[PrbwMove]
 # ---------------------------------------------------------------------------
 
 
+def check_capacity(cdag: Cdag, S: int) -> None:
+    """Raise InfeasibleGameError when S red pebbles cannot fire some vertex.
+
+    Firing a non-input vertex of in-degree k holds its k operands and
+    itself in red at once: k + 1 pebbles.  The lowest such id is named.
+    """
+    for v in sorted(cdag.vertices):
+        if cdag.in_degree(v) + 1 > S and v not in cdag.inputs:
+            raise InfeasibleGameError(
+                f"S too small for in-degree: vertex {v} needs {cdag.in_degree(v) + 1} pebbles"
+            )
+
+
 def heuristic_game(cdag: Cdag, S: int) -> tuple[list[RbwMove], IoTally]:
     """Play a deterministic valid game; its I/O tally is an upper bound.
 
@@ -487,11 +500,7 @@ def heuristic_game(cdag: Cdag, S: int) -> tuple[list[RbwMove], IoTally]:
     cdag.check("rbw")
     if S < 2:
         raise GameError("heuristic player needs S >= 2")
-    for v in sorted(cdag.vertices):
-        if cdag.in_degree(v) + 1 > S:
-            raise InfeasibleGameError(
-                f"S too small for in-degree: vertex {v} needs {cdag.in_degree(v) + 1} pebbles"
-            )
+    check_capacity(cdag, S)
 
     preds, succs, outputs = cdag.preds, cdag.succs, cdag.outputs
     order = cdag.topological_order

@@ -3,7 +3,7 @@
 One A* loop, :func:`_search`, serves both games, with cost = loads +
 stores.  A game supplies its start state, its goal test and a successor
 function that returns canonical states; the loop owns the open heap, the
-best-cost table, the ceiling and the budget.
+best-cost table and the budget.
 
 **Macro moves.**  The search does not step through single moves.  Each
 successor fires one vertex ``v`` together with the transfers it needs:
@@ -51,15 +51,20 @@ value with pending consumers then holds a red or a blue pebble.
 
 **Admissible remainder.**  ``rbw``: first loads of untouched inputs,
 stores of unstored outputs, and one reload per evicted value with pending
-consumers.  ``rb``: stores of unstored outputs.  A valid game played by
-the heuristic caps the search: states whose f-value exceeds its cost are
-never queued.  Ties in f pop the deeper state first.
+consumers.  ``rb``: stores of unstored outputs.  Ties in f pop the deeper
+state first.  No upper bound caps the search, since none could save an
+expansion: until the search ends, the heap holds a state of an optimal
+game at its optimal cost, whose f-value is at most the optimum because
+the remainder is admissible.  So every state popped has f at most the
+optimum, the first goal popped ends the search, and a state whose f-value
+exceeds the optimum may be queued but is never expanded.
 
 **Budget.**  ``budget`` caps expansions: macro moves taken off the heap,
 each heavier than a single move (it generates every eviction choice of
 every ready vertex).  When it runs out, the f-value of the state just
 popped is a lower bound on the optimum, since the remainder is admissible;
-:class:`BudgetExhaustedError` carries it as ``lower``.
+:class:`BudgetExhaustedError` carries it as ``lower``, and the heuristic
+player's tally, played only then, as ``best_known``.
 
 State spaces are exponential.  Structured instances around thirty
 vertices complete at small S (the 31-vertex composite pipeline at S=4 in
@@ -75,6 +80,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import games
 from .cdag import Cdag
 from .errors import BudgetExhaustedError, InfeasibleGameError, PebbleboundError
 from .reports import BoundReport
@@ -87,14 +93,12 @@ class OracleStats:
     """Work counters of one search; every count is deterministic.
 
     ``generated`` counts successors built; each is then a ``duplicate``
-    (its state already reached at no greater cost), a ``ceiling_prune``
-    (f-value above the heuristic's tally), or queued.
+    (its state already reached at no greater cost) or queued.
     """
 
     expansions: int = 0
     generated: int = 0
     duplicates: int = 0
-    ceiling_prunes: int = 0
     peak_heap: int = 0
 
 
@@ -109,8 +113,10 @@ def optimal_io(
 
     Raises InfeasibleGameError when no complete game exists (for instance
     when some vertex needs in-degree + 1 > S simultaneous pebbles) and
-    BudgetExhaustedError when the state space outgrows ``budget``.  Pass
-    ``stats`` to collect the search's work counters.
+    BudgetExhaustedError when the state space outgrows ``budget``; the
+    error then carries the heuristic player's tally as ``best_known``, or
+    None when the player cannot play at this S.  Pass ``stats`` to collect
+    the search's work counters.
     """
     if budget <= 0:
         raise BudgetExhaustedError("budget must be positive")
@@ -122,11 +128,19 @@ def optimal_io(
         space_type = _Rb
     else:
         raise InfeasibleGameError(f"unknown game {game!r}")
+    games.check_capacity(cdag, S)
     value = 0
     if cdag.vertices:
-        space = space_type(cdag, S)
-        # a valid played game caps the search: never explore beyond its cost
-        value = _search(space, _best_known_ub(cdag, S), budget, stats or OracleStats())
+        # the player runs only once the search has returned and freed its tables
+        solved, value = _search(space_type(cdag, S), budget, stats or OracleStats())
+        if not solved:
+            try:
+                best_known = games.heuristic_game(cdag, S)[1].io
+            except PebbleboundError:  # no play at this S; other errors are player bugs
+                best_known = None
+            raise BudgetExhaustedError(
+                f"oracle budget of {budget} expansions exhausted", best_known=best_known, lower=value
+            )
     return BoundReport(
         kind="exact",
         value=Fraction(value),
@@ -135,28 +149,14 @@ def optimal_io(
     )
 
 
-def _best_known_ub(cdag: Cdag, S: int):
-    """The heuristic player's tally, or None when it cannot play at this S.
-
-    Only package errors mean "no ceiling"; anything else is a player bug
-    and propagates.
-    """
-    from .games import heuristic_game
-
-    try:
-        _, tally = heuristic_game(cdag, S)
-        return tally.io
-    except PebbleboundError:
-        return None
-
-
-def _search(space, ceiling, budget: int, stats: OracleStats) -> int:
+def _search(space, budget: int, stats: OracleStats) -> tuple[bool, int]:
+    """``(True, optimum)``, or ``(False, lower bound)`` when the budget runs out."""
     g0, h0, start = space.start()
     heap = [(g0 + h0, -g0, start)]
     dist = {start: g0}
     goal, expand = space.goal, space.expand
     push, pop = heapq.heappush, heapq.heappop
-    expansions = generated = duplicates = prunes = 0
+    expansions = generated = duplicates = 0
     peak = 1
     try:
         while heap:
@@ -165,21 +165,15 @@ def _search(space, ceiling, budget: int, stats: OracleStats) -> int:
             if dist[state] != g:
                 continue  # superseded by a cheaper path to the same state
             if goal(state):
-                return f  # the remainder of a goal state is its exact final cost
+                return True, f  # the remainder of a goal state is its exact final cost
             expansions += 1
             if expansions > budget:
-                raise BudgetExhaustedError(
-                    f"oracle budget of {budget} expansions exhausted",
-                    best_known=ceiling,
-                    lower=f,
-                )
+                return False, f
             for cost, h, ns in expand(state):
                 generated += 1
                 ng = g + cost
                 if dist.get(ns, ng + 1) <= ng:
                     duplicates += 1
-                elif ceiling is not None and ng + h > ceiling:
-                    prunes += 1
                 else:
                     dist[ns] = ng
                     push(heap, (ng + h, -ng, ns))
@@ -190,7 +184,6 @@ def _search(space, ceiling, budget: int, stats: OracleStats) -> int:
         stats.expansions = min(expansions, budget)
         stats.generated = generated
         stats.duplicates = duplicates
-        stats.ceiling_prunes = prunes
         stats.peak_heap = peak
 
 
@@ -221,10 +214,6 @@ class _Space:
         self.all = (1 << n) - 1
         self.sinks = sum(1 << i for i in range(n) if not succ[i])
         self.fireable = self.all & ~self.inputs
-        for b in _bits(self.fireable):
-            need = pred[b.bit_length() - 1].bit_count() + 1
-            if need > S:
-                raise InfeasibleGameError(f"S too small for in-degree: a vertex needs {need} pebbles")
 
     def ready(self, candidates: int, available: int) -> list[tuple[int, int]]:
         """``(v, pred(v))`` for each candidate whose operands are all ``available``."""

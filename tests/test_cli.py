@@ -167,6 +167,20 @@ class TestBoundAndAnalyze:
         kv = kv_dict(out)
         assert "umax.bruteforced" in kv and "bound.value" in kv
 
+    @pytest.mark.parametrize("umax", [[], ["--umax", "1"]])
+    def test_spart_rejects_cyclic_cdag(self, umax, tmp_path):
+        cdag = tmp_path / "cyclic.cdag"
+        cdag.write_text("cdag 1\nv 0 in\nv 1\nv 2 out\ne 0 1\ne 1 2\ne 2 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pebblebound.cli", "bound", "--method", "spart",
+             "--cdag", str(cdag), "--S", "2", "--kv"] + umax,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: invalid CDAG (rbw mode): cycle: 1->2->1\n"
+        assert proc.stdout == ""
+
     def test_mincut_divide_with_partition_file(self, jacobi_files, tmp_path, capsys):
         cdag, ann, _ = jacobi_files
         code, out, _ = run_cli(
@@ -235,7 +249,6 @@ class TestRecords:
             line.split("=", 1) for line in rec.read_text().splitlines() if line.startswith("stats.oracle.")
         )
         assert sorted(stats) == [
-            "stats.oracle.ceiling_prunes",
             "stats.oracle.duplicates",
             "stats.oracle.expansions",
             "stats.oracle.generated",
@@ -304,7 +317,9 @@ class TestUnreadableInput:
             path.write_bytes("cdag 1\nv 0 label=caf\xe9\n".encode("latin-1"))
         return str(path)
 
-    @pytest.mark.parametrize("argv", [["play", "--S", "4", "--cdag"], ["report"]])
+    @pytest.mark.parametrize(
+        "argv", [["play", "--S", "4", "--cdag"], ["report"], ["analyze", "--alg", "cg", "--machine"]]
+    )
     def test_exit_1_with_one_error_line(self, argv, bad_path):
         proc = subprocess.run(
             [sys.executable, "-m", "pebblebound.cli"] + argv + [bad_path],

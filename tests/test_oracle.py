@@ -22,7 +22,7 @@ from pebblebound import (
     heuristic_game,
     optimal_io,
 )
-from pebblebound import games, oracle
+from pebblebound import games
 from pebblebound.oracle import OracleStats
 
 from conftest import make_cdag
@@ -117,6 +117,17 @@ class TestGameComparison:
                 checked += 1
         assert checked >= 10
 
+    def test_infeasible_message_matches_player(self):
+        # one capacity rule: vertex 3 fires with three operands, so S=3 fails
+        c = make_cdag(4, [(0, 3), (1, 3), (2, 3)], inputs=[0, 1, 2], outputs=[3])
+        with pytest.raises(InfeasibleGameError) as played:
+            heuristic_game(c, 3)
+        assert str(played.value) == "S too small for in-degree: vertex 3 needs 4 pebbles"
+        for game in ("rbw", "rb"):
+            with pytest.raises(InfeasibleGameError) as searched:
+                optimal_io(c, 3, game=game)
+            assert str(searched.value) == str(played.value)
+
     def test_rb_agrees_with_validator_on_feasibility(self):
         # S=2 lets a 2-chain fire; S=1 does not, in both engines
         c = gen_chain(3).cdag
@@ -163,7 +174,7 @@ class TestStats:
         optimal_io(gen_matmul(2).cdag, 4, stats=stats)
         assert stats.expansions > 0
         assert stats.peak_heap > 0
-        queued = stats.generated - stats.duplicates - stats.ceiling_prunes
+        queued = stats.generated - stats.duplicates
         assert 0 < queued <= stats.generated
 
     def test_counters_are_deterministic(self):
@@ -180,21 +191,43 @@ class TestStats:
 
 
 class TestCeiling:
+    """The heuristic's tally is the upper end of an exhausted search's bracket."""
+
+    def test_player_runs_only_when_the_budget_runs_out(self, monkeypatch):
+        calls = []
+
+        def counting(cdag, S):
+            calls.append(S)
+            return heuristic_game(cdag, S)
+
+        monkeypatch.setattr(games, "heuristic_game", counting)
+        cdag = gen_matmul(2).cdag
+        assert optimal_io(cdag, 4).value == 17
+        assert calls == []
+        with pytest.raises(BudgetExhaustedError) as exc:
+            optimal_io(cdag, 4, budget=10)
+        assert calls == [4]
+        assert exc.value.best_known == heuristic_game(cdag, 4)[1].io
+
     def test_player_crash_propagates(self, monkeypatch):
-        # a bug in the player must not silently drop the search ceiling
+        # a bug in the player must not pass for "no upper bound known"
         def crash(cdag, S):
             raise RuntimeError("player bug")
 
         monkeypatch.setattr(games, "heuristic_game", crash)
         for game in ("rbw", "rb"):
             with pytest.raises(RuntimeError, match="player bug"):
-                optimal_io(gen_chain(4).cdag, 2, game=game)
+                optimal_io(gen_jacobi(5, 1, 3, 3).cdag, 4, game=game, budget=1)
 
     def test_s1_below_player_floor_searches_uncapped(self):
-        # the player needs S >= 2 (GameError); the search still runs at S=1:
-        # load 0 to fire it, fire 1 and store it, fire 2 for free
+        # the player needs S >= 2 (GameError), so an exhausted search at S=1
+        # knows no upper bound; a full search still finds the optimum: load 0
+        # to fire it, fire 1 and store it, fire 2 for free
         c = make_cdag(3, [], inputs=[0], outputs=[0, 1])
-        assert oracle._best_known_ub(c, 1) is None
+        with pytest.raises(BudgetExhaustedError) as exc:
+            optimal_io(c, 1, budget=1)
+        assert exc.value.best_known is None
+        assert "best known" not in str(exc.value)
         assert optimal_io(c, 1).value == 2
 
 
