@@ -2,9 +2,9 @@
 """Compare every bound engine against the exact optimum on desk instances.
 
 For each small generated CDAG and capacity, prints the partition-counting
-bound (with brute-forced block maximum), the divide-and-conquer wavefront
-bound, the closed form where one exists, the exhaustive optimum, and the
-heuristic player's tally.  Lower bounds never exceed the optimum; the
+bound (with an exhaustively searched block maximum), the divide-and-conquer
+wavefront bound, the closed form where one exists, the exhaustive optimum,
+and the heuristic player's tally.  Lower bounds never exceed the optimum; the
 heuristic never beats it.
 
 Takes about half a second.

@@ -267,7 +267,12 @@ def cmd_bound(args, run: _Run) -> None:
             if not args.partition:
                 raise FormatError("--method mincut-divide needs --partition")
             ann = parse_annotations(run.read(args.partition))
-            rep = mincut_divide_bound(cdag, Partition.of(ann.slabs.values()), args.S)
+            blocks, listed = [], frozenset()
+            for slab in ann.slabs.values():  # a vertex stays in the first slab listing it
+                blocks.append(slab - listed)
+                listed |= slab
+            blocks.append(cdag.vertices - listed)  # slabs may leave out the inputs
+            rep = mincut_divide_bound(cdag, Partition.of(b for b in blocks if b), args.S)
     _emit_report(run, "bound", rep)
 
 
@@ -303,6 +308,12 @@ def cmd_report(args, run: _Run) -> None:
         text = run.read(path)
         print(f"# {path}")
         print(text.rstrip())
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", choices=("rb", "rbw"), default="rbw")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_BUDGET,
         help="cap on search expansions; an expansion is a macro move (one fire with its loads,"
         " evictions and stores), so each costs more than a single move",
@@ -365,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", choices=("rb", "rbw"), default="rbw")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_BUDGET,
-        help="oracle expansions (macro moves) with --method oracle; umax candidates with --method spart",
+        help="oracle expansions (macro moves) with --method oracle; umax search nodes with --method spart",
     )
     p.add_argument("--alg", choices=ALGORITHMS, default=None)
     _add_alg_flags(p, with_alg=False)

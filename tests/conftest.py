@@ -58,6 +58,59 @@ def enum_wavefront_min(cdag: Cdag, x: int) -> int:
     return best
 
 
+def naive_umax(cdag: Cdag, twoS: int) -> int:
+    """Subset oracle for ``umax_bruteforce``: tries every set of non-input vertices.
+
+    Builds bit adjacency and reachability over the work set, then checks each
+    candidate's convexity (no outside vertex both above and below it), in-set
+    and out-set directly.  Exponential; keep n in the low teens.
+    """
+    work = sorted(cdag.vertices - cdag.inputs)
+    n = len(work)
+    idx = {v: i for i, v in enumerate(work)}
+    succ_in = [0] * n
+    pred_in = [0] * n
+    for u, v in cdag.edges:
+        if u in idx and v in idx:
+            succ_in[idx[u]] |= 1 << idx[v]
+            pred_in[idx[v]] |= 1 << idx[u]
+    up = [0] * n
+    down = [0] * n
+    order = [v for v in cdag.topological_order if v in idx]
+    for v in order:
+        i = idx[v]
+        for j in range(n):
+            if pred_in[i] >> j & 1:
+                up[i] |= up[j] | (1 << j)
+    for v in reversed(order):
+        i = idx[v]
+        for j in range(n):
+            if succ_in[i] >> j & 1:
+                down[i] |= down[j] | (1 << j)
+    best = 0
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        if size <= best:
+            continue
+        up_all = down_all = 0
+        for i in range(n):
+            if mask >> i & 1:
+                up_all |= up[i]
+                down_all |= down[i]
+        if up_all & down_all & ~mask:
+            continue
+        in_set: set[int] = set()
+        out_count = 0
+        for i in range(n):
+            if mask >> i & 1:
+                in_set.update(u for u in cdag.preds[work[i]] if u not in idx or not mask >> idx[u] & 1)
+                if work[i] in cdag.outputs or succ_in[i] & ~mask:
+                    out_count += 1
+        if len(in_set) <= twoS and out_count <= twoS:
+            best = size
+    return best
+
+
 def iter_set_partitions(items):
     """All set partitions of ``items`` (Bell-number many; keep it small)."""
     items = list(items)
@@ -85,6 +138,23 @@ def small_dags(draw, max_n=7, tag_outputs=False):
     has_succ = {i for i, _ in edges}
     outputs = [v for v in range(n) if v not in has_succ] if tag_outputs else []
     return make_cdag(n, edges, inputs, outputs)
+
+
+@st.composite
+def tagged_dags(draw, max_n=6):
+    """Small DAG with flexible tagging: any sources may be inputs, any vertices outputs."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    sources = [v for v in range(n) if all(j != v for _, j in edges)]
+    if draw(st.booleans()):
+        # hk tagging: both games apply
+        sinks = [v for v in range(n) if all(i != v for i, _ in edges)]
+        inputs = sources
+        outputs = sorted(set(sinks) | set(draw(st.sets(st.sampled_from(range(n)), max_size=2))))
+    else:
+        inputs = draw(st.sets(st.sampled_from(sources)))
+        outputs = draw(st.sets(st.sampled_from(range(n))))
+    return Cdag.build(range(n), edges, inputs, outputs)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pebblebound import (
     BoundError,
+    BudgetExhaustedError,
     Cdag,
     Partition,
     analytic_horizontal_ub,
@@ -18,6 +19,7 @@ from pebblebound import (
     gen_jacobi,
     gen_matmul,
     gen_outer_product,
+    generate,
     horizontal_bound_spart,
     mincut_divide_bound,
     mincut_lower_bound,
@@ -31,7 +33,15 @@ from pebblebound import (
 )
 from pebblebound.bounds import block_in_set, block_out_set, min_dominator_size, minimum_set
 
-from conftest import diamond, enum_wavefront_min, make_cdag, random_dag, small_dags
+from conftest import (
+    diamond,
+    enum_wavefront_min,
+    make_cdag,
+    naive_umax,
+    random_dag,
+    small_dags,
+    tagged_dags,
+)
 
 
 class TestSpartArithmetic:
@@ -100,6 +110,47 @@ class TestUmaxBruteforce:
         c = make_cdag(3, [(0, 1), (1, 2)], outputs=[0, 2])
         assert umax_bruteforce(c, 1) == 2
         assert umax_bruteforce(c, 2) == 3
+
+    def test_excursion_through_two_excluded_vertices_is_not_convex(self):
+        # 0 -> 1 -> 2 -> 3 with inputs 4, 5 feeding 1 and 2: at twoS=1 the
+        # block {0, 3} fits (in-set {2}, out-set {0}) but its path leaves
+        # through 1 and 2 and comes back, so only singletons qualify
+        c = make_cdag(6, [(0, 1), (1, 2), (2, 3), (4, 1), (5, 1), (4, 2), (5, 2)], inputs=[4, 5])
+        assert umax_bruteforce(c, 1) == naive_umax(c, 1) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(tagged_dags(max_n=14), st.integers(min_value=0, max_value=8))
+    def test_matches_naive_subset_reference(self, cdag, twoS):
+        assert umax_bruteforce(cdag, twoS) == naive_umax(cdag, twoS)
+
+    @pytest.mark.parametrize(
+        "params,twoS,umax",
+        [
+            (AlgorithmParams("matmul", n=2), 6, 6),
+            (AlgorithmParams("matmul", n=2), 8, 12),
+            (AlgorithmParams("cg", n=2, d=1, T=1), 8, 16),
+            (AlgorithmParams("outer_product", n=3), 6, 6),
+            (AlgorithmParams("gmres", n=2, d=1, m=1), 8, 16),
+            (AlgorithmParams("jacobi", n=5, d=1, T=3, stencil_points=3), 8, 10),
+            (AlgorithmParams("composite", n=2), 8, 23),
+            (AlgorithmParams("composite", n=2), 6, 11),
+            (AlgorithmParams("matmul", n=3), 6, 7),
+        ],
+        ids=["matmul-2@6", "matmul-2@8", "cg-2-1-1@8", "outer_product-3@6", "gmres-2-1-1@8",
+             "jacobi-5-1-3@8", "composite-2@8", "composite-2@6", "matmul-3@6"],
+    )
+    def test_generator_instances(self, params, twoS, umax):
+        assert umax_bruteforce(generate(params).cdag, twoS) == umax
+
+    def test_deep_chain_within_recursion_limit(self):
+        assert umax_bruteforce(gen_chain(5000).cdag, 2) == 4999
+
+    def test_budget_counts_search_nodes(self):
+        c = generate(AlgorithmParams("composite", n=2)).cdag
+        assert umax_bruteforce(c, 8, budget=47) == 23
+        with pytest.raises(BudgetExhaustedError) as exc:
+            umax_bruteforce(c, 8, budget=46)
+        assert exc.value.best_known == 23
 
 
 class TestWavefront:

@@ -1,8 +1,11 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from pebblebound import optimal_io
+from pebblebound.formats import parse_cdag
 from pebblebound.cli import main
 
 
@@ -190,6 +193,45 @@ class TestBoundAndAnalyze:
         )
         assert code == 0
         assert "bound.value" in kv_dict(out)
+
+    @pytest.mark.parametrize(
+        "alg,S",
+        [
+            (["cg", "--n", "2", "--d", "1", "--T", "1"], 4),
+            (["gmres", "--n", "2", "--d", "1", "--m", "1"], 4),
+            (["jacobi", "--n", "4", "--d", "1", "--T", "2"], 4),
+            (["matmul", "--n", "2"], 3),
+            (["outer_product", "--n", "3"], 3),
+            (["composite", "--n", "2"], 3),
+            (["chain", "--n", "6"], 2),
+        ],
+        ids=lambda x: x[0] if isinstance(x, list) else f"S{x}",
+    )
+    def test_mincut_divide_on_generated_slabs(self, alg, S, tmp_path, capsys):
+        # slabs may share frontiers (cg, gmres) or leave out the inputs; the
+        # bound still runs and stays below the optimum
+        cdag, ann = tmp_path / "g.cdag", tmp_path / "g.ann"
+        code, _, _ = run_cli(
+            ["generate", "--alg", *alg, "--out", str(cdag), "--annotations", str(ann)], capsys
+        )
+        assert code == 0
+        code, out, err = run_cli(
+            ["bound", "--method", "mincut-divide", "--cdag", str(cdag), "--partition", str(ann),
+             "--S", str(S), "--kv"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        optimum = optimal_io(parse_cdag(cdag.read_text()), S).value
+        assert Fraction(kv_dict(out)["bound.value"].split()[0]) <= optimum
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "x"])
+    @pytest.mark.parametrize("command", [["oracle"], ["bound", "--method", "spart"]])
+    def test_nonpositive_budget_is_usage_error(self, command, budget, jacobi_files, capsys):
+        cdag, _, _ = jacobi_files
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--cdag", str(cdag), "--S", "4", "--budget", budget])
+        assert exc.value.code == 2
+        assert "argument --budget: must be a positive integer" in capsys.readouterr().err
 
     def test_analyze_cg_on_bgq(self, capsys):
         code, out, _ = run_cli(

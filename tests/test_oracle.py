@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblebound import (
-    Cdag,
     BudgetExhaustedError,
     InfeasibleGameError,
     gen_chain,
@@ -25,7 +24,7 @@ from pebblebound import (
 from pebblebound import games
 from pebblebound.oracle import OracleStats
 
-from conftest import make_cdag
+from conftest import make_cdag, tagged_dags
 
 
 class TestChains:
@@ -350,23 +349,6 @@ def naive_rb_optimum(cdag, S):
             if v in red:
                 push((red - {v}, blue), 0)
     return None
-
-
-@st.composite
-def tagged_dags(draw, max_n=6):
-    """Small DAG with flexible tagging: any sources may be inputs, any vertices outputs."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
-    sources = [v for v in range(n) if all(j != v for _, j in edges)]
-    if draw(st.booleans()):
-        # hk tagging: both games apply
-        sinks = [v for v in range(n) if all(i != v for i, _ in edges)]
-        inputs = sources
-        outputs = sorted(set(sinks) | set(draw(st.sets(st.sampled_from(range(n)), max_size=2))))
-    else:
-        inputs = draw(st.sets(st.sampled_from(sources)))
-        outputs = draw(st.sets(st.sampled_from(range(n))))
-    return Cdag.build(range(n), edges, inputs, outputs)
 
 
 class TestAgainstNaiveReference:
