@@ -48,6 +48,7 @@ from .games import (
 )
 from .oracle import optimal_io
 from .bounds import (
+    FlowStats,
     SPartitionCertificate,
     Wavefront,
     analytic_horizontal_ub,

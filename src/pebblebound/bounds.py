@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .cdag import Cdag, Partition
-from .errors import BoundError, BudgetExhaustedError
+from .errors import DEFAULT_BUDGET, BoundError, BudgetExhaustedError
 from .generators import AlgorithmParams
 from .reports import BoundReport, nonneg
 
@@ -152,7 +152,7 @@ def spart_lower_bound(cdag: Cdag, S: int, umax: int) -> BoundReport:
     )
 
 
-def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = 2_000_000) -> int:
+def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = DEFAULT_BUDGET) -> int:
     """Largest convex block with in-set and out-set both <= twoS.
 
     An exhaustive include/exclude search over the non-input vertices in
@@ -162,7 +162,8 @@ def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = 2_000_000) -> int:
     the out-set.  Predecessors are decided first, so both sets only grow
     along a branch and are exact at full depth: a branch is cut once either
     exceeds ``twoS`` or once ``size + remaining`` cannot beat the best block.
-    ``budget`` caps search nodes.
+    ``budget`` caps search nodes; when it runs out, the error's ``lower``
+    is the largest block found so far, a lower bound on umax.
 
     Convexity is a taint rule: an excluded vertex is tainted when a
     predecessor is in the block or tainted, and a vertex with a tainted
@@ -196,7 +197,8 @@ def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = 2_000_000) -> int:
         nodes += 1
         if nodes > budget:
             raise BudgetExhaustedError(
-                f"umax budget of {budget} search nodes exhausted", best_known=best
+                f"umax budget of {budget} search nodes exhausted (largest block found: {best})",
+                lower=best,
             )
         if size + n - i <= best:
             continue
@@ -222,26 +224,48 @@ def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = 2_000_000) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class FlowStats:
+    """Work counters of the wavefront layer; every count is deterministic.
+
+    ``anchors`` counts the candidates :func:`wmax` was given, and
+    ``anchors_skipped`` those it settled by their ceiling alone.  ``flows``
+    counts max-flow runs, ``bfs_phases`` their level-graph searches (the
+    last one of each run finds no path) and ``augmentations`` the
+    augmenting paths pushed.
+    """
+
+    anchors: int = 0
+    anchors_skipped: int = 0
+    flows: int = 0
+    bfs_phases: int = 0
+    augmentations: int = 0
+
+
 class _Dinic:
     """Standard Dinic max-flow on an explicit adjacency structure.
 
     After :meth:`max_flow`, ``level[v] >= 0`` exactly on the nodes its last
-    BFS reached: the source side of a minimum cut.
+    BFS reached: the source side of a minimum cut.  Work is counted in
+    ``stats``.
     """
 
     INF = 1 << 60
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, stats: Optional[FlowStats] = None):
         self.graph: list[list[list[int]]] = [[] for _ in range(n)]
         self.level: list[int] = []
+        self.stats = FlowStats() if stats is None else stats
 
     def add_edge(self, u: int, v: int, cap: int) -> None:
         self.graph[u].append([v, cap, len(self.graph[v])])
         self.graph[v].append([u, 0, len(self.graph[u]) - 1])
 
     def max_flow(self, s: int, t: int) -> int:
+        self.stats.flows += 1
         flow = 0
         while True:
+            self.stats.bfs_phases += 1
             level = self.level = self._levels(s)
             if level[t] < 0:
                 return flow
@@ -270,12 +294,14 @@ class _Dinic:
         end retreats one edge and skips it.
         """
         graph = self.graph
+        stats = self.stats
         it = [0] * len(graph)
         path: list[list[int]] = []
         flow = 0
         u = s
         while True:
             if u == t:
+                stats.augmentations += 1
                 pushed = min(edge[1] for edge in path)
                 for edge in path:
                     edge[1] -= pushed
@@ -305,7 +331,9 @@ class _Dinic:
                 return flow
 
 
-def _split_network(vertices: Iterable[int]) -> tuple[_Dinic, dict[int, int], int, int]:
+def _split_network(
+    vertices: Iterable[int], stats: Optional[FlowStats] = None
+) -> tuple[_Dinic, dict[int, int], int, int]:
     """Node-split flow network for vertex cuts over ``vertices``.
 
     Vertex v becomes in-node 2*idx[v] and out-node 2*idx[v] + 1, joined by
@@ -315,7 +343,7 @@ def _split_network(vertices: Iterable[int]) -> tuple[_Dinic, dict[int, int], int
     """
     idx = {v: i for i, v in enumerate(sorted(vertices))}
     n = len(idx)
-    net = _Dinic(2 * n + 2)
+    net = _Dinic(2 * n + 2, stats)
     for i in range(n):
         net.add_edge(2 * i, 2 * i + 1, 1)
     return net, idx, 2 * n, 2 * n + 1
@@ -338,7 +366,7 @@ class Wavefront:
     size: int
 
 
-def wavefront_min(cdag: Cdag, x: int) -> Wavefront:
+def wavefront_min(cdag: Cdag, x: int, stats: Optional[FlowStats] = None) -> Wavefront:
     """Minimum wavefront induced by x, via a vertex min-cut.
 
     Build a unit-capacity node-split network whose source merges x with its
@@ -346,12 +374,10 @@ def wavefront_min(cdag: Cdag, x: int) -> Wavefront:
     descendants (uncuttable); an extra reversed arc per graph edge keeps
     the recovered source side closed under predecessors, which is exactly
     the no-edge-back condition on the cut.  The max-flow value equals the
-    minimum number of non-anchor cut vertices over all valid cuts.
+    minimum number of non-anchor cut vertices over all valid cuts.  Pass
+    ``stats`` to count the flow's work.
     """
-    if x not in cdag.vertices:
-        raise BoundError(f"unknown vertex {x}")
-    if not cdag.is_acyclic:
-        raise BoundError("wavefronts are defined on acyclic graphs only")
+    _check_anchor(cdag, x)
     anc = cdag.ancestors(x)
     desc = cdag.descendants(x)
     if not desc:
@@ -363,7 +389,7 @@ def wavefront_min(cdag: Cdag, x: int) -> Wavefront:
             size=1,
         )
 
-    dinic, idx, s, t = _split_network(cdag.vertices - desc - {x})
+    dinic, idx, s, t = _split_network(cdag.vertices - desc - {x}, stats)
     for a in anc:
         dinic.add_edge(s, 2 * idx[a], _Dinic.INF)
     for u, w in cdag.edges:
@@ -395,6 +421,13 @@ def wavefront_min(cdag: Cdag, x: int) -> Wavefront:
     return Wavefront(x, frozenset(s_side), frozenset(t_side), cut, flow)
 
 
+def _check_anchor(cdag: Cdag, x: int) -> None:
+    if x not in cdag.vertices:
+        raise BoundError(f"unknown vertex {x}")
+    if not cdag.is_acyclic:
+        raise BoundError("wavefronts are defined on acyclic graphs only")
+
+
 def _assert_valid_cut(cdag, x, anc, desc, s_side, t_side):
     if not ({x} | anc) <= s_side:
         raise BoundError("wavefront construction bug: ancestry escaped the fired side")
@@ -405,28 +438,75 @@ def _assert_valid_cut(cdag, x, anc, desc, s_side, t_side):
             raise BoundError(f"wavefront construction bug: back edge {u}->{w} crosses the cut")
 
 
-def wmax(cdag: Cdag, candidates: Optional[Iterable[int]] = None) -> int:
+def wmax(
+    cdag: Cdag, candidates: Optional[Iterable[int]] = None, stats: Optional[FlowStats] = None
+) -> int:
     """Max over candidate anchors of the minimum wavefront size.
 
     Defaults to every vertex; generators supply their scalar anchors to
-    avoid one flow run per vertex on large graphs.
+    avoid one flow run per vertex on large graphs.  Pass ``stats`` to count
+    the work.
+
+    Most anchors are settled without a flow, by a ceiling from two cuts.
+    Any fired side that holds x and its ancestors, holds no descendant of x
+    and is closed under predecessors is a valid cut (no edge runs back
+    across it), so its count of non-anchor vertices with a successor
+    outside it bounds ``wavefront_min(cdag, x).size`` from above, floor one
+    aside.  Two such sides cost one traversal each:
+
+    * early, ``{x} | anc(x)``: the ancestors with a successor outside it;
+    * late, ``V - desc(x)``: the non-anchor vertices with a successor in
+      ``desc(x)``.
+
+    Both are closed under predecessors: a predecessor of an ancestor is an
+    ancestor, and a predecessor of a non-descendant is a non-descendant.
+    The ceiling is ``max(1, min(early, late))``, and 1 when ``desc(x)`` is
+    empty.  Anchors are flowed in decreasing order of ceiling (lowest id
+    first among ties) until a ceiling is no larger than the best wavefront
+    found so far; no remaining anchor can beat it, so the result is exact.
     """
     cand = sorted(cdag.vertices) if candidates is None else sorted(set(candidates))
-    best = 0
     for x in cand:
-        best = max(best, wavefront_min(cdag, x).size)
+        _check_anchor(cdag, x)
+    stats = FlowStats() if stats is None else stats
+    stats.anchors += len(cand)
+    best = 0
+    order = sorted((-_wavefront_ceiling(cdag, x), x) for x in cand)
+    for k, (ceiling, x) in enumerate(order):
+        if -ceiling <= best:
+            stats.anchors_skipped += len(order) - k
+            break
+        best = max(best, wavefront_min(cdag, x, stats).size)
     return best
 
 
-def mincut_lower_bound(cdag: Cdag, S: int, candidates: Optional[Iterable[int]] = None) -> BoundReport:
+def _wavefront_ceiling(cdag: Cdag, x: int) -> int:
+    """The two-cut ceiling on ``wavefront_min(cdag, x).size``; see :func:`wmax`."""
+    desc = cdag.descendants(x)
+    if not desc:
+        return 1
+    anc = cdag.ancestors(x)
+    fired = anc | {x}
+    early = sum(1 for a in anc if not cdag.succs[a] <= fired)
+    late = len({u for v in desc for u in cdag.preds[v]} - desc - {x})
+    return max(1, min(early, late))
+
+
+def mincut_lower_bound(
+    cdag: Cdag,
+    S: int,
+    candidates: Optional[Iterable[int]] = None,
+    stats: Optional[FlowStats] = None,
+) -> BoundReport:
     """Input-free wavefront bound: 2 * (wmax - S), clamped at zero.
 
     The argument needs an input-free CDAG: every live-but-spilled value was
-    both stored and reloaded, giving two transfers each.
+    both stored and reloaded, giving two transfers each.  ``stats`` is
+    passed to :func:`wmax`.
     """
     if cdag.inputs:
         raise BoundError("this bound needs an input-free CDAG; delete or untag inputs first")
-    w = wmax(cdag, candidates)
+    w = wmax(cdag, candidates, stats)
     return BoundReport(
         kind="lower",
         value=nonneg(Fraction(2) * (w - S)),
@@ -436,12 +516,15 @@ def mincut_lower_bound(cdag: Cdag, S: int, candidates: Optional[Iterable[int]] =
     )
 
 
-def mincut_divide_bound(cdag: Cdag, partition: Partition, S: int) -> BoundReport:
+def mincut_divide_bound(
+    cdag: Cdag, partition: Partition, S: int, stats: Optional[FlowStats] = None
+) -> BoundReport:
     """Divide-and-conquer wavefront bound over a disjoint partition.
 
     Each block is induced, stripped of its global inputs and outputs, and
     charged 2 * (wmax_i - S); the stripped input/output vertices are worth
-    one transfer apiece, adding |I| + |O|.
+    one transfer apiece, adding |I| + |O|.  ``stats`` is passed to every
+    block's :func:`wmax`.
     """
     violations = partition.validate(cdag)
     if violations:
@@ -454,7 +537,7 @@ def mincut_divide_bound(cdag: Cdag, partition: Partition, S: int) -> BoundReport
         if not core.vertices:
             per_block.append(0)
             continue
-        w = wmax(core)
+        w = wmax(core, stats=stats)
         contribution = nonneg(Fraction(2) * (w - S))
         per_block.append(w)
         total += contribution

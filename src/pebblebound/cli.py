@@ -30,6 +30,7 @@ from pathlib import Path
 from . import __version__
 from .balance import AnalysisReport, analyze, load_machine
 from .bounds import (
+    FlowStats,
     analytic_lb,
     mincut_divide_bound,
     mincut_lower_bound,
@@ -37,7 +38,7 @@ from .bounds import (
     umax_bruteforce,
 )
 from .cdag import Cdag, Partition
-from .errors import BudgetExhaustedError, FormatError, PebbleboundError
+from .errors import DEFAULT_BUDGET, BudgetExhaustedError, FormatError, PebbleboundError
 from .formats import (
     format_annotations,
     format_cdag,
@@ -50,7 +51,7 @@ from .formats import (
 )
 from .games import heuristic_game, validate_prbw, validate_rb, validate_rbw
 from .generators import ALGORITHMS, AlgorithmParams, generate
-from .oracle import DEFAULT_BUDGET, OracleStats, optimal_io
+from .oracle import OracleStats, optimal_io
 from .reports import BoundReport, render
 
 
@@ -71,13 +72,15 @@ class _Run:
     def emit(self, key: str, value) -> None:
         self.pairs.append((key, render(value)))
 
-    def record_stats(self, engine: str, stats) -> None:
+    def record_stats(self, engine: str, stats):
         """Write an engine's work counters (a dataclass) to the run record.
 
         The counters are read when the record is written, so an engine may
         fill them after this call, even on its way out with an error.
+        Returns ``stats``.
         """
         self.stats.append((engine, stats))
+        return stats
 
     def digest(self, path: str) -> bytes:
         """An input file's bytes, read once; their sha256 goes to the record."""
@@ -227,8 +230,7 @@ def cmd_play(args, run: _Run) -> None:
 
 def _optimum(run: _Run, cdag: Cdag, args):
     # counters registered first, so the record keeps them when the budget runs out
-    stats = OracleStats()
-    run.record_stats("oracle", stats)
+    stats = run.record_stats("oracle", OracleStats())
     return optimal_io(cdag, args.S, game=args.game, budget=args.budget, stats=stats)
 
 
@@ -262,7 +264,7 @@ def cmd_bound(args, run: _Run) -> None:
             anchors = None
             if args.anchors:
                 anchors = parse_annotations(run.read(args.anchors)).anchors
-            rep = mincut_lower_bound(cdag, args.S, anchors or None)
+            rep = mincut_lower_bound(cdag, args.S, anchors or None, run.record_stats("flow", FlowStats()))
         else:  # mincut-divide
             if not args.partition:
                 raise FormatError("--method mincut-divide needs --partition")
@@ -272,7 +274,8 @@ def cmd_bound(args, run: _Run) -> None:
                 blocks.append(slab - listed)
                 listed |= slab
             blocks.append(cdag.vertices - listed)  # slabs may leave out the inputs
-            rep = mincut_divide_bound(cdag, Partition.of(b for b in blocks if b), args.S)
+            partition = Partition.of(b for b in blocks if b)
+            rep = mincut_divide_bound(cdag, partition, args.S, run.record_stats("flow", FlowStats()))
     _emit_report(run, "bound", rep)
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default search budget."""
+
+# Default cap on an exact search's work: oracle expansions, or umax search
+# nodes.  Both searches and the CLI take their default from here.
+DEFAULT_BUDGET = 5_000_000
 
 
 class PebbleboundError(Exception):
@@ -40,8 +44,9 @@ class BudgetExhaustedError(PebbleboundError):
 
     ``best_known`` carries an upper bound found along the way, when one
     exists; it is a hint only, never a certified optimum.  ``lower``, when
-    the search sets it, is a certified lower bound on the optimum, so
-    ``lower <= optimum <= best_known`` brackets the answer.
+    the search sets it, is a certified lower bound on the value searched for
+    (the oracle's optimum, or umax), so ``lower <= optimum <= best_known``
+    brackets the answer.
     """
 
     def __init__(self, message, best_known=None, lower=None):

@@ -82,10 +82,8 @@ from itertools import combinations
 
 from . import games
 from .cdag import Cdag
-from .errors import BudgetExhaustedError, InfeasibleGameError, PebbleboundError
+from .errors import DEFAULT_BUDGET, BudgetExhaustedError, InfeasibleGameError, PebbleboundError
 from .reports import BoundReport
-
-DEFAULT_BUDGET = 5_000_000
 
 
 @dataclass

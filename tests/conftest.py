@@ -12,7 +12,15 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from pebblebound import Cdag
+from pebblebound import (
+    Cdag,
+    gen_chain,
+    gen_composite,
+    gen_jacobi,
+    gen_matmul,
+    gen_outer_product,
+    wavefront_min,
+)
 
 
 def make_cdag(n, edges, inputs=(), outputs=()):
@@ -56,6 +64,32 @@ def enum_wavefront_min(cdag: Cdag, x: int) -> int:
             if best is None or size < best:
                 best = size
     return best
+
+
+def wavefront_fixtures():
+    """Criterion 4's 55 graphs: ten hand-picked and generated ones, then seeded random DAGs."""
+    fixtures = [
+        make_cdag(3, [(0, 1), (1, 2)], inputs=[0]),
+        diamond(),
+        gen_chain(5).cdag,
+        gen_chain(9).cdag,
+        gen_jacobi(3, 1, 2, 3).cdag,
+        gen_jacobi(3, 1, 3, 3).cdag,
+        gen_outer_product(1).cdag,
+        gen_outer_product(2).cdag,
+        gen_matmul(1).cdag,
+        gen_composite(1).cdag,
+    ]
+    rng = random.Random(20240817)
+    while len(fixtures) < 55:
+        fixtures.append(random_dag(rng, rng.randint(2, 9), p=rng.uniform(0.2, 0.6)))
+    return fixtures
+
+
+def naive_wmax(cdag: Cdag, candidates=None) -> int:
+    """Unpruned reference for ``wmax``: one ``wavefront_min`` per candidate anchor."""
+    cand = cdag.vertices if candidates is None else set(candidates)
+    return max((wavefront_min(cdag, x).size for x in cand), default=0)
 
 
 def naive_umax(cdag: Cdag, twoS: int) -> int:

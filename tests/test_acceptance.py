@@ -42,7 +42,7 @@ from pebblebound import (
     wavefront_min,
 )
 
-from conftest import diamond, enum_wavefront_min, make_cdag, random_dag
+from conftest import diamond, enum_wavefront_min, random_dag, wavefront_fixtures
 
 
 def composite_reference_trace(ann):
@@ -207,21 +207,7 @@ def test_criterion_3_sandwich_suite():
 
 def test_criterion_4_wavefront_oracle_equivalence():
     started = time.monotonic()
-    fixtures = [
-        make_cdag(3, [(0, 1), (1, 2)], inputs=[0]),
-        diamond(),
-        gen_chain(5).cdag,
-        gen_chain(9).cdag,
-        gen_jacobi(3, 1, 2, 3).cdag,
-        gen_jacobi(3, 1, 3, 3).cdag,
-        gen_outer_product(1).cdag,
-        gen_outer_product(2).cdag,
-        gen_matmul(1).cdag,
-        gen_composite(1).cdag,
-    ]
-    rng = random.Random(20240817)
-    while len(fixtures) < 55:
-        fixtures.append(random_dag(rng, rng.randint(2, 9), p=rng.uniform(0.2, 0.6)))
+    fixtures = wavefront_fixtures()
     checked = 0
     for cdag in fixtures:
         for x in sorted(cdag.vertices):

@@ -1,3 +1,5 @@
+import inspect
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from pebblebound import (
     BoundError,
     BudgetExhaustedError,
     Cdag,
+    FlowStats,
     Partition,
     analytic_horizontal_ub,
     analytic_lb,
@@ -31,16 +34,21 @@ from pebblebound import (
     wavefront_min,
     wmax,
 )
+from pebblebound import bounds
 from pebblebound.bounds import block_in_set, block_out_set, min_dominator_size, minimum_set
+from pebblebound.cli import build_parser, main
+from pebblebound.errors import DEFAULT_BUDGET
 
 from conftest import (
     diamond,
     enum_wavefront_min,
     make_cdag,
     naive_umax,
+    naive_wmax,
     random_dag,
     small_dags,
     tagged_dags,
+    wavefront_fixtures,
 )
 
 
@@ -150,7 +158,27 @@ class TestUmaxBruteforce:
         assert umax_bruteforce(c, 8, budget=47) == 23
         with pytest.raises(BudgetExhaustedError) as exc:
             umax_bruteforce(c, 8, budget=46)
-        assert exc.value.best_known == 23
+        assert exc.value.lower == 23 and exc.value.best_known is None
+
+    def test_exhausted_cli_records_the_lower_bound(self, tmp_path, capsys):
+        cdag, rec = tmp_path / "c.cdag", tmp_path / "r.rec"
+        main(["generate", "--alg", "composite", "--n", "2", "--out", str(cdag)])
+        capsys.readouterr()
+        code = main(["bound", "--method", "spart", "--cdag", str(cdag), "--S", "4", "--budget", "46",
+                     "--kv", "--record", str(rec)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "error: umax budget of 46 search nodes exhausted (largest block found: 23)\n"
+        lines = rec.read_text().splitlines()
+        assert "error.lower=23" in lines
+        assert not any(line.startswith("error.best_known") for line in lines)
+
+    def test_default_budget_is_shared_with_the_oracle_and_the_cli(self):
+        def default(fn):
+            return inspect.signature(fn).parameters["budget"].default
+
+        cli = build_parser().parse_args(["bound", "--method", "spart"]).budget
+        assert default(umax_bruteforce) == default(optimal_io) == cli == DEFAULT_BUDGET
 
 
 class TestWavefront:
@@ -226,6 +254,97 @@ class TestWmax:
         c = make_cdag(3 + side, edges)
         assert wmax(c, [1]) == 1
         assert wavefront_min(c, 1).cut_vertices == {0}
+
+    def test_pruned_equals_unpruned_on_random_dags(self):
+        rng = random.Random(20261018)
+        for _ in range(150):
+            c = random_dag(rng, rng.randint(1, 30), p=rng.uniform(0.05, 0.5))
+            assert wmax(c) == naive_wmax(c)
+            cand = rng.sample(sorted(c.vertices), rng.randint(1, len(c.vertices)))
+            assert wmax(c, cand) == naive_wmax(c, cand)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            AlgorithmParams("chain", n=7),
+            AlgorithmParams("outer_product", n=3),
+            AlgorithmParams("matmul", n=2),
+            AlgorithmParams("composite", n=2),
+            AlgorithmParams("cg", n=3, d=1, T=2),
+            AlgorithmParams("gmres", n=3, d=1, m=2),
+            AlgorithmParams("jacobi", n=4, d=2, T=2),
+        ],
+        ids=["chain", "outer_product", "matmul", "composite", "cg", "gmres", "jacobi"],
+    )
+    def test_pruned_equals_unpruned_on_generators(self, params):
+        ann = generate(params)
+        c = ann.cdag
+        assert wmax(c) == naive_wmax(c)
+        cand = ann.wavefront_anchors or sorted(c.vertices)[::2]
+        assert wmax(c, cand) == naive_wmax(c, cand)
+
+    def test_ceiling_bounds_every_wavefront_of_criterion_4(self):
+        for c in wavefront_fixtures():
+            for x in sorted(c.vertices):
+                assert bounds._wavefront_ceiling(c, x) >= wavefront_min(c, x).size
+
+    def test_stats_show_the_skipped_anchors(self):
+        c = gen_cg(3, 1, 2).cdag
+        stats = FlowStats()
+        assert wmax(c, stats=stats) == naive_wmax(c)
+        assert stats.anchors == len(c.vertices)
+        assert 0 < stats.anchors_skipped < stats.anchors
+        assert 0 < stats.flows <= stats.anchors - stats.anchors_skipped
+        assert stats.flows < stats.bfs_phases
+
+    def test_each_augmentation_carries_one_unit(self):
+        ann = gen_cg(2, 1, 1)
+        stats = FlowStats()
+        w = wavefront_min(ann.cdag, ann.wavefront_anchors[0], stats)
+        assert (stats.flows, stats.augmentations, w.size) == (1, 4, 4)
+
+
+class TestWmaxFailures:
+    CYCLIC = "cdag 1\nv 0\nv 1\nv 2\ne 0 1\ne 1 2\ne 2 1\n"
+    CHAIN = "cdag 1\nv 0\nv 1\nv 2\ne 0 1\ne 1 2\n"
+
+    @pytest.fixture
+    def no_ceilings(self, monkeypatch):
+        def ceiling(cdag, x):
+            raise AssertionError(f"ceiling computed for {x}")
+
+        monkeypatch.setattr(bounds, "_wavefront_ceiling", ceiling)
+
+    @pytest.mark.parametrize("candidates", [None, [0], [0, 2]])
+    def test_cyclic_raises_before_any_ceiling(self, candidates, no_ceilings):
+        c = make_cdag(3, [(0, 1), (1, 2), (2, 1)])
+        with pytest.raises(BoundError, match="^wavefronts are defined on acyclic graphs only$"):
+            wmax(c, candidates)
+
+    def test_unknown_candidate_raises_even_when_it_would_be_skipped(self, no_ceilings):
+        # anchor 1 alone settles the chain at 1, so the search would never reach 17
+        with pytest.raises(BoundError, match="^unknown vertex 17$"):
+            wmax(make_cdag(3, [(0, 1), (1, 2)]), [1, 17])
+
+    @pytest.mark.parametrize(
+        "cdag, anchors, message",
+        [
+            (CYCLIC, "anchor 0\n", "wavefronts are defined on acyclic graphs only"),
+            (CYCLIC, None, "wavefronts are defined on acyclic graphs only"),
+            (CHAIN, "anchor 1\nanchor 17\n", "unknown vertex 17"),
+        ],
+        ids=["cyclic-anchors", "cyclic-all", "unknown-anchor"],
+    )
+    def test_cli_exits_1_with_one_error_line(self, cdag, anchors, message, tmp_path, capsys):
+        path = tmp_path / "g.cdag"
+        path.write_text(cdag)
+        argv = ["bound", "--method", "mincut", "--cdag", str(path), "--S", "1", "--kv"]
+        if anchors is not None:
+            (tmp_path / "g.ann").write_text(anchors)
+            argv += ["--anchors", str(tmp_path / "g.ann")]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestMincutBounds:

@@ -298,6 +298,34 @@ class TestRecords:
         ]
         assert int(stats["stats.oracle.expansions"]) > 0
 
+    @pytest.mark.parametrize("method", ["mincut", "mincut-divide"])
+    def test_record_carries_flow_counters_kv_does_not(self, method, jacobi_files, tmp_path, capsys):
+        cdag, ann, _ = jacobi_files
+        if method == "mincut":  # the plain bound needs an input-free CDAG
+            cdag = tmp_path / "ladder.cdag"
+            cdag.write_text("cdag 1\n" + "".join(f"v {v}\n" for v in range(5))
+                            + "e 0 1\ne 0 2\ne 1 3\ne 2 4\ne 3 4\n")
+            argv = ["bound", "--method", "mincut", "--cdag", str(cdag), "--S", "1", "--kv"]
+        else:
+            argv = ["bound", "--method", "mincut-divide", "--cdag", str(cdag),
+                    "--partition", str(ann), "--S", "1", "--kv"]
+        rec = tmp_path / "runs.rec"
+        _, plain, _ = run_cli(argv, capsys)
+        code, out, _ = run_cli(argv + ["--record", str(rec)], capsys)
+        assert code == 0
+        assert out == plain and "stats." not in out
+        stats = dict(
+            line.split("=", 1) for line in rec.read_text().splitlines() if line.startswith("stats.flow.")
+        )
+        assert sorted(stats) == [
+            "stats.flow.anchors",
+            "stats.flow.anchors_skipped",
+            "stats.flow.augmentations",
+            "stats.flow.bfs_phases",
+            "stats.flow.flows",
+        ]
+        assert int(stats["stats.flow.anchors"]) > int(stats["stats.flow.anchors_skipped"]) > 0
+
     def test_report_prints_records(self, jacobi_files, tmp_path, capsys):
         cdag, _, _ = jacobi_files
         rec = tmp_path / "runs.rec"

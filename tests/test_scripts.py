@@ -15,6 +15,11 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("desk_suite.py", "instance          S   spart  mincut  analytic  optimum  heuristic    time"),
         ("balance_survey.py", "=== bgq: N_nodes=2048, vbal=0.052, hbal=0.049 ==="),
+        (
+            "wavefront_digest.py",
+            "2323 certificates, 923 values,"
+            " sha256 0c6fc2546bd1dcfac210692e48b6eb1d32ee3d8b1d05dcb4da1965ef8140b638",
+        ),
     ],
 )
 def test_script_runs_and_prints_header(script, header):
