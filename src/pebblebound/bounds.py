@@ -447,12 +447,13 @@ def wmax(
     avoid one flow run per vertex on large graphs.  Pass ``stats`` to count
     the work.
 
-    Most anchors are settled without a flow, by a ceiling from two cuts.
-    Any fired side that holds x and its ancestors, holds no descendant of x
-    and is closed under predecessors is a valid cut (no edge runs back
-    across it), so its count of non-anchor vertices with a successor
-    outside it bounds ``wavefront_min(cdag, x).size`` from above, floor one
-    aside.  Two such sides cost one traversal each:
+    An anchor is flowed only when a ceiling from two cuts says it could
+    beat the best wavefront found so far.  Any fired side that holds x and
+    its ancestors, holds no descendant of x and is closed under
+    predecessors is a valid cut (no edge runs back across it), so its
+    count of non-anchor vertices with a successor outside it bounds
+    ``wavefront_min(cdag, x).size`` from above, floor one aside.  Two such
+    sides cost one traversal each:
 
     * early, ``{x} | anc(x)``: the ancestors with a successor outside it;
     * late, ``V - desc(x)``: the non-anchor vertices with a successor in
@@ -462,8 +463,8 @@ def wmax(
     ancestor, and a predecessor of a non-descendant is a non-descendant.
     The ceiling is ``max(1, min(early, late))``, and 1 when ``desc(x)`` is
     empty.  Anchors are flowed in decreasing order of ceiling (lowest id
-    first among ties) until a ceiling is no larger than the best wavefront
-    found so far; no remaining anchor can beat it, so the result is exact.
+    first among ties) until a ceiling is no larger than the best; no
+    remaining anchor can beat it, so the result is exact.
     """
     cand = sorted(cdag.vertices) if candidates is None else sorted(set(candidates))
     for x in cand:
