@@ -75,12 +75,6 @@ class MachineSpec:
                     f"{self.vertical_balance:.4g}: more than 1% apart"
                 )
 
-    def cache(self, name: str) -> CacheLevel:
-        for c in self.caches:
-            if c.name == name:
-                return c
-        raise BoundError(f"machine {self.name} has no cache level {name!r}")
-
 
 @dataclass(frozen=True)
 class BalanceVerdict:
@@ -274,17 +268,17 @@ def analyze(algorithm: str, params: AlgorithmParams, machine: MachineSpec) -> An
     )
 
 
-def load_machine(name_or_path) -> MachineSpec:
-    """Load a machine spec by shipped name (bgq, crayxt5) or file path."""
+def load_machine(name: str) -> MachineSpec:
+    """Load a shipped machine spec by name (bgq, crayxt5).
+
+    Only the files under ``machines/`` are looked up; to load a spec file of
+    your own, read it and pass its text to :func:`formats.parse_machine`.
+    """
     import importlib.resources as resources
-    from pathlib import Path
 
     from .formats import parse_machine
 
-    p = Path(str(name_or_path))
-    if p.is_file():
-        return parse_machine(p.read_text(encoding="utf-8"))
-    pkg_file = resources.files("pebblebound").joinpath(f"machines/{name_or_path}.machine")
-    if pkg_file.is_file():
-        return parse_machine(pkg_file.read_text(encoding="utf-8"))
-    raise BoundError(f"no machine file or shipped machine named {name_or_path!r}")
+    for spec in resources.files("pebblebound").joinpath("machines").iterdir():
+        if spec.name == f"{name}.machine":
+            return parse_machine(spec.read_text(encoding="utf-8"))
+    raise BoundError(f"no machine file or shipped machine named {name!r}")

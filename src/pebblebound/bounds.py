@@ -101,7 +101,7 @@ def check_spartition(cdag: Cdag, blocks: Iterable[Iterable[int]], S: int, mode: 
     blks = tuple(frozenset(b) for b in blocks)
     violations = []
     domain = cdag.vertices if mode == "hk" else cdag.vertices - cdag.inputs
-    part = Partition.of(blks, mode="disjoint")
+    part = Partition.of(blks)
     violations.extend(part.validate(cdag, domain))
     # pairwise circuits
     for i in range(len(blks)):

@@ -18,9 +18,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import ClassVar, Iterable, Mapping, Optional
 
 from .errors import CdagError
+from .reports import BoundReport, as_lower
 
 VertexId = int
 Edge = tuple[int, int]
@@ -279,21 +280,18 @@ class Cdag:
 
 @dataclass(frozen=True)
 class Partition:
-    """A named split of a vertex domain into blocks.
+    """A split of a vertex domain into pairwise-disjoint blocks.
 
-    ``disjoint`` mode requires pairwise-disjoint blocks covering the stated
-    domain exactly.  ``non-disjoint`` mode permits consecutive blocks to
-    share vertices (iteration frontiers).
+    :meth:`validate` requires the blocks to cover the stated domain exactly,
+    so counting bounds may sum over them.  Parts that share a frontier are
+    composed through :func:`nondisjoint_decompose` instead.
     """
 
     blocks: tuple[frozenset[int], ...]
-    mode: str = "disjoint"
 
     @classmethod
-    def of(cls, blocks: Iterable[Iterable[int]], mode: str = "disjoint") -> "Partition":
-        if mode not in ("disjoint", "non-disjoint"):
-            raise CdagError(f"unknown partition mode {mode!r}")
-        return cls(tuple(frozenset(b) for b in blocks), mode)
+    def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
+        return cls(tuple(frozenset(b) for b in blocks))
 
     def validate(self, cdag: Cdag, domain: Optional[frozenset[int]] = None) -> list[str]:
         violations = []
@@ -302,16 +300,15 @@ class Partition:
         for i, blk in enumerate(self.blocks):
             if not blk <= cdag.vertices:
                 violations.append(f"block {i} contains unknown vertices {sorted(blk - cdag.vertices)}")
-            if self.mode == "disjoint" and blk & union:
+            if blk & union:
                 violations.append(f"block {i} overlaps earlier blocks: {sorted(blk & union)}")
             union |= blk
-        if self.mode == "disjoint" and union != dom:
-            missing = dom - union
-            extra = union - dom
-            if missing:
-                violations.append(f"blocks do not cover domain, missing {sorted(missing)}")
-            if extra:
-                violations.append(f"blocks exceed domain by {sorted(extra)}")
+        missing = dom - union
+        extra = union - dom
+        if missing:
+            violations.append(f"blocks do not cover domain, missing {sorted(missing)}")
+        if extra:
+            violations.append(f"blocks exceed domain by {sorted(extra)}")
         return violations
 
 
@@ -329,12 +326,10 @@ class NondisjointSplit:
     anchor: int
     first: Cdag
     second: Cdag
-    rule: str = "IO_S(C) >= IO_{S+1}(C1) + IO_S(C2)"
+    rule: ClassVar[str] = "IO_S(C) >= IO_{S+1}(C1) + IO_S(C2)"
 
     def compose(self, first_lb, second_lb):
         """Sum lower bounds for the two parts per the rule above."""
-        from .reports import BoundReport, as_lower
-
         lb1 = as_lower(first_lb)
         lb2 = as_lower(second_lb)
         return BoundReport(

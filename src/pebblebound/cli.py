@@ -40,6 +40,7 @@ from .bounds import (
 from .cdag import Cdag, Partition
 from .errors import DEFAULT_BUDGET, BudgetExhaustedError, FormatError, PebbleboundError
 from .formats import (
+    Annotations,
     format_annotations,
     format_cdag,
     format_trace,
@@ -178,7 +179,8 @@ def cmd_generate(args, run: _Run) -> None:
     run.emit("inputs", len(ann.cdag.inputs))
     run.emit("outputs", len(ann.cdag.outputs))
     if args.annotations:
-        Path(args.annotations).write_text(format_annotations(ann), encoding="utf-8")
+        sidecar = Annotations(ann.slabs, ann.frontier_vertices, ann.wavefront_anchors)
+        Path(args.annotations).write_text(format_annotations(sidecar), encoding="utf-8")
         run.emit("annotations", args.annotations)
         run.emit("slabs", len(ann.slabs))
         run.emit("anchors", " ".join(str(a) for a in ann.wavefront_anchors))

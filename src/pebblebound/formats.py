@@ -1,9 +1,10 @@
 """Line-based text formats: CDAGs, annotations, traces, hierarchies, machines.
 
 All formats share the same conventions: UTF-8, one record per line,
-space-separated tokens, ``#`` comment lines, and a versioned header line.
-Parsing is strict -- unknown tokens, missing headers, undeclared ids, and
-trailing junk are all errors.
+space-separated tokens and ``#`` comment lines.  Every format but the
+annotation sidecar opens with a versioned header line.  Parsing is
+strict -- unknown tokens, missing headers, undeclared ids, and trailing
+junk are all errors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .cdag import Cdag
-from .errors import FormatError
+from .errors import CdagError, FormatError
 from .games import PRBW_RULE, RBW_RULE, HierarchyConfig, PrbwMove, RbwMove
 
 
@@ -165,19 +166,13 @@ def parse_annotations(text: str) -> Annotations:
     return ann
 
 
-def format_annotations(ann) -> str:
+def format_annotations(ann: Annotations) -> str:
     out = []
     for name, vs in ann.slabs.items():
         out.append("slab " + name + " " + " ".join(str(v) for v in sorted(vs)))
-    frontiers = getattr(ann, "frontiers", None)
-    if frontiers is None:
-        frontiers = ann.frontier_vertices
-    for (a, b), vs in frontiers.items():
+    for (a, b), vs in ann.frontiers.items():
         out.append(f"frontier {a} {b} " + " ".join(str(v) for v in sorted(vs)))
-    anchors = getattr(ann, "anchors", None)
-    if anchors is None:
-        anchors = ann.wavefront_anchors
-    for v in anchors:
+    for v in ann.anchors:
         out.append(f"anchor {v}")
     return "\n".join(out) + "\n"
 
@@ -257,7 +252,8 @@ def format_trace(game: str, moves) -> str:
 def parse_hierarchy(text: str) -> HierarchyConfig:
     """Parse the memory-tree format.
 
-    ::
+    ``levels`` must equal the number of ``level`` records, and ``procs`` the
+    level-1 unit count::
 
         hier 1
         levels 2
@@ -305,24 +301,28 @@ def parse_hierarchy(text: str) -> HierarchyConfig:
             f"below level {levels}, got {len(parent)}"
         )
     cfg = HierarchyConfig(
-        levels=levels,
         units=tuple(units[l] for l in range(1, levels + 1)),
         capacities=tuple(caps[l] for l in range(1, levels + 1)),
-        processors=procs,
         parent=parent,
         policy=policy,
     )
-    cfg.check()
+    violations = cfg.validate()
+    if procs != cfg.units[0]:
+        # listed after the size check, the only earlier check a parsed file can fail
+        at = int("unit counts and capacities must be >= 1" in violations)
+        violations.insert(at, f"level-1 unit count {cfg.units[0]} must equal processor count {procs}")
+    if violations:
+        raise CdagError("invalid hierarchy: " + "; ".join(violations))
     return cfg
 
 
 def format_hierarchy(cfg: HierarchyConfig) -> str:
-    out = ["hier 1", f"levels {cfg.levels}"]
-    for l in range(1, cfg.levels + 1):
+    out = ["hier 1", f"levels {len(cfg.units)}"]
+    for l in range(1, len(cfg.units) + 1):
         out.append(f"level {l} units {cfg.units[l - 1]} cap {cfg.capacities[l - 1]}")
     for (l, u), p in sorted(cfg.parent.items()):
         out.append(f"parent {l} {u} {p}")
-    out.append(f"procs {cfg.processors}")
+    out.append(f"procs {cfg.units[0]}")
     out.append(f"policy {cfg.policy}")
     return "\n".join(out) + "\n"
 

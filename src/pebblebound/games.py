@@ -77,37 +77,35 @@ class PrbwMove:
 class HierarchyConfig:
     """An L-level memory tree: unit counts, capacities, and parent links.
 
-    Level 1 units are the processors' register sets (one per processor);
-    level L units are the main memories that exchange data with the blue
-    backing store and with each other.  ``parent[(l, j)]`` names the level
-    l+1 unit above unit j of level l.
+    L is ``len(units)``.  Level 1 units are the processors' register sets
+    (one per processor, so ``units[0]`` is the processor count); level L
+    units are the main memories that exchange data with the blue backing
+    store and with each other.  ``parent[(l, j)]`` names the level l+1 unit
+    above unit j of level l.
     """
 
-    levels: int
     units: tuple[int, ...]  # units[l-1] = number of level-l units
     capacities: tuple[int, ...]  # capacities[l-1] = words per level-l unit
-    processors: int
     parent: dict[tuple[int, int], int] = field(default_factory=dict)
     policy: str = "inclusive"
 
     def validate(self) -> list[str]:
         v = []
-        if self.levels < 1:
+        levels = len(self.units)
+        if levels < 1:
             v.append("levels must be >= 1")
             return v
-        if len(self.units) != self.levels or len(self.capacities) != self.levels:
+        if len(self.capacities) != levels:
             v.append("units/capacities must list one entry per level")
             return v
         if self.policy not in ("inclusive", "exclusive"):
             v.append(f"unknown policy {self.policy!r}")
         if any(x < 1 for x in self.units) or any(x < 1 for x in self.capacities):
             v.append("unit counts and capacities must be >= 1")
-        if self.units[0] != self.processors:
-            v.append(f"level-1 unit count {self.units[0]} must equal processor count {self.processors}")
-        for l in range(1, self.levels):
+        for l in range(1, levels):
             if self.units[l - 1] < self.units[l]:
                 v.append(f"level {l} has fewer units than level {l + 1}")
-        for l in range(1, self.levels):
+        for l in range(1, levels):
             for j in range(self.units[l - 1]):
                 par = self.parent.get((l, j))
                 if par is None:
@@ -138,9 +136,9 @@ class HierarchyConfig:
         return out
 
     @classmethod
-    def flat(cls, S: int, processors: int = 1) -> "HierarchyConfig":
+    def flat(cls, S: int) -> "HierarchyConfig":
         """Single-level degenerate hierarchy: the flat game with S pebbles."""
-        return cls(levels=1, units=(processors,), capacities=(S,), processors=processors)
+        return cls(units=(1,), capacities=(S,))
 
 
 @dataclass
@@ -278,7 +276,7 @@ class PrbwGame:
         config.check()
         self.cdag = cdag
         self.cfg = config
-        self.L = config.levels
+        self.L = len(config.units)
         # pebbles[(level, unit)] = set of vertices holding that shade; a
         # unit's set is made on its first placement, so memory follows the
         # units a trace touches, not the units the hierarchy declares

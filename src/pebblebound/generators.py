@@ -72,9 +72,6 @@ class AnnotatedCdag:
         labels = self.cdag.labels or {}
         return {s: v for v, s in labels.items()}
 
-    def slab_names(self) -> list[str]:
-        return list(self.slabs)
-
 
 class _Builder:
     """Incremental CDAG assembly with dense ids and mandatory labels."""

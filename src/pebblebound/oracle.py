@@ -82,7 +82,7 @@ from itertools import combinations
 
 from . import games
 from .cdag import Cdag
-from .errors import DEFAULT_BUDGET, BudgetExhaustedError, InfeasibleGameError, PebbleboundError
+from .errors import DEFAULT_BUDGET, BudgetExhaustedError, GameError, InfeasibleGameError, PebbleboundError
 from .reports import BoundReport
 
 
@@ -109,7 +109,8 @@ def optimal_io(
 ) -> BoundReport:
     """Exact minimum I/O over all valid games, as an ``exact`` bound report.
 
-    Raises InfeasibleGameError when no complete game exists (for instance
+    Raises GameError for a game other than ``rb`` and ``rbw``,
+    InfeasibleGameError when no complete game exists (for instance
     when some vertex needs in-degree + 1 > S simultaneous pebbles) and
     BudgetExhaustedError when the state space outgrows ``budget``; the
     error then carries the heuristic player's tally as ``best_known``, or
@@ -125,7 +126,7 @@ def optimal_io(
         cdag.check("hk")
         space_type = _Rb
     else:
-        raise InfeasibleGameError(f"unknown game {game!r}")
+        raise GameError(f"unknown flat game {game!r}")
     games.check_capacity(cdag, S)
     value = 0
     if cdag.vertices:

@@ -54,9 +54,6 @@ class BoundReport:
         if self.method == "transfer" and not self.provenance:
             raise BoundError("transfer reports need a nonempty provenance")
 
-    def render_value(self) -> str:
-        return render(self.value)
-
 
 def render(value) -> str:
     """Text form of an output value: exact rationals keep a 6-digit gloss."""

@@ -289,7 +289,7 @@ def test_criterion_7_hierarchical_degeneracy():
     assert len(fixtures) == 10
     for cdag, S in fixtures:
         trace, flat_tally = heuristic_game(cdag, S)
-        config = HierarchyConfig.flat(S, processors=1)
+        config = HierarchyConfig.flat(S)
         hier_tally = validate_prbw(cdag, config, [_flat_prbw(m) for m in trace])
         assert hier_tally.loads == flat_tally.loads
         assert hier_tally.stores == flat_tally.stores

@@ -167,13 +167,6 @@ class TestMachineLoading:
         with pytest.raises(BoundError):
             load_machine("enigma")
 
-    def test_path_loading(self, tmp_path, bgq):
-        from pebblebound.formats import format_machine
-
-        p = tmp_path / "copy.machine"
-        p.write_text(format_machine(bgq), encoding="utf-8")
-        assert load_machine(p) == bgq
-
 
 class TestRawCrossCheck:
     def test_consistent_raw_figures_accepted(self, bgq):

@@ -508,3 +508,18 @@ class TestSoundness:
         opt = optimal_io(c, 4).value
         rep = mincut_divide_bound(c, Partition.of([c.vertices]), 4)
         assert rep.value <= opt
+
+    def test_mincut_divide_sound_with_positive_wavefront_term(self):
+        # gather: untagged sources s0..s4 (0-4), a left-leaning add chain
+        # 5, 6, 7 ending in x = 8, and consumers d_i = f(x, s_i) (9-13); its
+        # wmax exceeds S, so the block term is not clamped to zero
+        chain = [(0, 5), (1, 5), (5, 6), (2, 6), (6, 7), (3, 7), (7, 8), (4, 8)]
+        consumers = [e for i in range(5) for e in ((8, 9 + i), (i, 9 + i))]
+        c = make_cdag(14, chain + consumers)
+        assert optimal_io(c, 3).value == 8
+        assert wmax(c) == 5
+        rep = mincut_divide_bound(c, Partition.of([c.vertices]), 3)
+        assert rep.value == 4 <= 8
+        # counting the same vertices in several blocks would overstate the optimum
+        with pytest.raises(BoundError, match="overlaps"):
+            mincut_divide_bound(c, Partition.of([c.vertices] * 3), 3)

@@ -185,11 +185,6 @@ class TestPartition:
         part = Partition.of([{0, 1}])
         assert any("missing" in v for v in part.validate(c))
 
-    def test_nondisjoint_mode_allows_sharing(self):
-        c = diamond()
-        part = Partition.of([{0, 1, 3}, {1, 2, 3}], mode="non-disjoint")
-        assert part.validate(c) == []
-
 
 class TestNondisjointDecompose:
     def test_empty_detached_set(self):

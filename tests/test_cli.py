@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from pebblebound import optimal_io
-from pebblebound.formats import parse_cdag
+from pebblebound import BoundError, load_machine, optimal_io
+from pebblebound.formats import format_machine, parse_cdag
 from pebblebound.cli import main
 
 
@@ -244,6 +244,17 @@ class TestBoundAndAnalyze:
         assert kv["intensity.vertical"].startswith("3/10")
         assert kv["verdict.vertical"] == "provably-bandwidth-bound"
         assert kv["verdict.horizontal"] == "not-bandwidth-bound-achievable"
+
+    def test_analyze_reads_spec_files_itself(self, tmp_path, capsys):
+        # the CLI parses a spec file; the library loader takes shipped names only
+        spec = tmp_path / "bgq.machine"
+        spec.write_text(format_machine(load_machine("bgq")), encoding="utf-8")
+        argv = ["analyze", "--alg", "cg", "--n", "1000", "--d", "3", "--T", "1", "--kv", "--machine"]
+        shipped = run_cli(argv + ["bgq"], capsys)
+        from_file = run_cli(argv + [str(spec)], capsys)
+        assert shipped[0] == 0 and from_file == shipped
+        with pytest.raises(BoundError, match="no machine file or shipped machine named"):
+            load_machine(str(spec))
 
     def test_analyze_rejects_unparsable_machine_balance(self, tmp_path):
         spec = tmp_path / "bad.machine"

@@ -101,7 +101,7 @@ class TestHorizontalBoundAgainstTrace:
         # work vertices.
         c = make_cdag(6, [(0, 1), (1, 2), (3, 4), (4, 5)], inputs=[0, 3], outputs=[2, 5])
         cfg = HierarchyConfig(
-            levels=2, units=(2, 2), capacities=(2, 4), processors=2,
+            units=(2, 2), capacities=(2, 4),
             parent={(1, 0): 0, (1, 1): 1},
         )
         trace = [

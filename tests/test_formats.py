@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from pebblebound import FormatError, PebbleboundError, gen_cg, gen_jacobi
 from pebblebound.formats import (
+    Annotations,
     format_annotations,
     format_cdag,
     format_hierarchy,
@@ -71,7 +72,7 @@ class TestCdagFormat:
 class TestAnnotations:
     def test_roundtrip_generator_sidecar(self):
         ann = gen_cg(2, 1, 2)
-        text = format_annotations(ann)
+        text = format_annotations(Annotations(ann.slabs, ann.frontier_vertices, ann.wavefront_anchors))
         parsed = parse_annotations(text)
         assert parsed.slabs == dict(ann.slabs)
         assert parsed.frontiers == dict(ann.frontier_vertices)
@@ -126,10 +127,8 @@ class TestTraces:
 class TestHierarchy:
     def test_roundtrip(self):
         cfg = HierarchyConfig(
-            levels=2,
             units=(2, 1),
             capacities=(3, 8),
-            processors=2,
             parent={(1, 0): 0, (1, 1): 0},
             policy="exclusive",
         )
@@ -143,6 +142,29 @@ class TestHierarchy:
         text = "hier 1\nlevels 1\nlevel 1 units 2 cap 3\nprocs 1\npolicy inclusive\n"
         with pytest.raises(Exception):
             parse_hierarchy(text)
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            (
+                "levels 1\nlevel 1 units 0 cap 3\nprocs 1\n",
+                "unit counts and capacities must be >= 1; level-1 unit count 0 must equal processor count 1",
+            ),
+            (
+                "levels 2\nlevel 1 units 1 cap 0\nlevel 2 units 2 cap 4\nparent 1 0 5\nprocs 2\n",
+                "unit counts and capacities must be >= 1; level-1 unit count 1 must equal processor count 2; "
+                "level 1 has fewer units than level 2; parent of level 1 unit 0 out of range: 5",
+            ),
+            (
+                "levels 2\nlevel 1 units 1 cap 2\nlevel 2 units 2 cap 4\nparent 1 0 0\nprocs 2\n",
+                "level-1 unit count 1 must equal processor count 2; level 1 has fewer units than level 2",
+            ),
+        ],
+    )
+    def test_procs_mismatch_keeps_its_place_among_violations(self, records, message):
+        with pytest.raises(PebbleboundError) as err:
+            parse_hierarchy("hier 1\n" + records)
+        assert str(err.value) == "invalid hierarchy: " + message
 
     # sizes read from the file are checked before anything is built from
     # them; before that check these documents allocated without bound
@@ -183,7 +205,7 @@ class TestMachine:
         spec = load_machine("bgq")
         assert spec.n_nodes == 2048
         assert spec.vertical_balance == 0.052
-        assert spec.cache("L2").capacity_words == 4 * 2**20
+        assert [c.capacity_words for c in spec.caches if c.name == "L2"] == [4 * 2**20]
         assert parse_machine(format_machine(spec)) == spec
 
     def test_missing_field(self):

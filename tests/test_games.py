@@ -17,6 +17,7 @@ from pebblebound import (
     validate_rb,
     validate_rbw,
 )
+from pebblebound.formats import parse_hierarchy
 from pebblebound.games import FlatGame, PrbwGame
 
 from conftest import make_cdag
@@ -170,15 +171,13 @@ class TestHeuristic:
 
 
 def flat_config(S):
-    return HierarchyConfig.flat(S, processors=1)
+    return HierarchyConfig.flat(S)
 
 
 def two_level_config(S1=2, S2=8, procs=2):
     return HierarchyConfig(
-        levels=2,
         units=(procs, 1),
         capacities=(S1, S2),
-        processors=procs,
         parent={(1, j): 0 for j in range(procs)},
     )
 
@@ -186,10 +185,8 @@ def two_level_config(S1=2, S2=8, procs=2):
 def two_node_config(S1=3):
     # two processors, each with private registers and its own main memory
     return HierarchyConfig(
-        levels=2,
         units=(2, 2),
         capacities=(S1, 8),
-        processors=2,
         parent={(1, 0): 0, (1, 1): 1},
     )
 
@@ -201,16 +198,17 @@ class TestHierarchyConfig:
         assert two_node_config().validate() == []
 
     def test_level1_units_must_equal_processors(self):
-        cfg = HierarchyConfig(levels=1, units=(2,), capacities=(3,), processors=1)
-        assert any("processor count" in v for v in cfg.validate())
+        text = "hier 1\nlevels 1\nlevel 1 units 2 cap 3\nprocs 1\n"
+        with pytest.raises(CdagError, match="^invalid hierarchy: level-1 unit count 2 must equal processor count 1$"):
+            parse_hierarchy(text)
 
     def test_missing_parent_flagged(self):
-        cfg = HierarchyConfig(levels=2, units=(2, 1), capacities=(2, 4), processors=2, parent={(1, 0): 0})
+        cfg = HierarchyConfig(units=(2, 1), capacities=(2, 4), parent={(1, 0): 0})
         assert any("missing parent" in v for v in cfg.validate())
 
     def test_unit_counts_must_not_grow_upward(self):
         cfg = HierarchyConfig(
-            levels=2, units=(1, 2), capacities=(2, 4), processors=1,
+            units=(1, 2), capacities=(2, 4),
             parent={(1, 0): 0},
         )
         assert any("fewer units" in v for v in cfg.validate())
@@ -270,7 +268,7 @@ class TestValidatePrbw:
 
     def test_capacity_violation_names_unit_and_step(self):
         c = make_cdag(3, [], inputs=[0, 1, 2], outputs=[0, 1, 2])
-        cfg = HierarchyConfig(levels=1, units=(1,), capacities=(2,), processors=1)
+        cfg = HierarchyConfig(units=(1,), capacities=(2,))
         trace = [PrbwMove("Input", v, unit=0) for v in range(3)]
         with pytest.raises(GameError, match="capacity 2 exceeded at level 1 unit 0"):
             validate_prbw(c, cfg, trace)
@@ -288,7 +286,7 @@ class TestValidatePrbw:
     def test_inclusive_capacity_counts_descendants(self):
         c = make_cdag(2, [], inputs=[0, 1], outputs=[0, 1])
         cfg = HierarchyConfig(
-            levels=2, units=(1, 1), capacities=(1, 1), processors=1,
+            units=(1, 1), capacities=(1, 1),
             parent={(1, 0): 0}, policy="inclusive",
         )
         trace = [
@@ -301,7 +299,7 @@ class TestValidatePrbw:
         with pytest.raises(GameError, match="capacity"):
             validate_prbw(c, cfg, trace)
         exclusive = HierarchyConfig(
-            levels=2, units=(1, 1), capacities=(1, 1), processors=1,
+            units=(1, 1), capacities=(1, 1),
             parent={(1, 0): 0}, policy="exclusive",
         )
         game = PrbwGame(c, exclusive)
@@ -363,7 +361,7 @@ class TestPrbwEdgeRules:
         import tracemalloc
 
         units = 10**6
-        cfg = HierarchyConfig(levels=1, units=(units,), capacities=(2,), processors=units)
+        cfg = HierarchyConfig(units=(units,), capacities=(2,))
         last = units - 1
         trace = [
             PrbwMove("Input", 0, unit=last),

@@ -149,7 +149,7 @@ class TestCg:
 
     def test_slab_count_and_frontier(self):
         ann = gen_cg(3, 1, 2)
-        assert ann.slab_names() == ["iter1", "iter2"]
+        assert list(ann.slabs) == ["iter1", "iter2"]
         frontier = ann.frontier_vertices[("iter1", "iter2")]
         p_shared = [v for v in frontier if ann.cdag.labels[v].startswith("p1[")]
         assert len(p_shared) == 3

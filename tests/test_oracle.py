@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pebblebound import (
     BudgetExhaustedError,
+    GameError,
     InfeasibleGameError,
     gen_chain,
     gen_composite,
@@ -126,6 +127,15 @@ class TestGameComparison:
             with pytest.raises(InfeasibleGameError) as searched:
                 optimal_io(c, 3, game=game)
             assert str(searched.value) == str(played.value)
+
+    def test_unknown_game_message_matches_validator(self):
+        # an unknown game is a usage error, not an infeasible instance
+        c = gen_chain(3).cdag
+        with pytest.raises(GameError) as checked:
+            games.FlatGame(c, 2, "prbw")
+        with pytest.raises(GameError) as searched:
+            optimal_io(c, 2, game="prbw")
+        assert str(searched.value) == str(checked.value) == "unknown flat game 'prbw'"
 
     def test_rb_agrees_with_validator_on_feasibility(self):
         # S=2 lets a 2-chain fire; S=1 does not, in both engines

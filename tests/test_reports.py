@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pebblebound import BoundError, BoundReport, as_lower, compose_decomposition, transfer_bound
+from pebblebound.reports import render
 
 
 def lower(v, **kw):
@@ -67,7 +68,7 @@ class TestReportBasics:
 
     def test_render_fraction(self):
         rep = BoundReport(kind="lower", value=Fraction(3, 10), method="analytic")
-        assert rep.render_value().startswith("3/10")
+        assert render(rep.value).startswith("3/10")
 
     def test_upper_cannot_downcast(self):
         up = BoundReport(kind="upper", value=Fraction(5), method="analytic")
