@@ -268,17 +268,27 @@ def analyze(algorithm: str, params: AlgorithmParams, machine: MachineSpec) -> An
     )
 
 
+def _machines_dir():
+    import importlib.resources as resources
+
+    return resources.files("pebblebound").joinpath("machines")
+
+
+def shipped_machines() -> list[str]:
+    """Names of the machine specs shipped under ``machines/``, sorted."""
+    return sorted(
+        spec.name.removesuffix(".machine") for spec in _machines_dir().iterdir() if spec.name.endswith(".machine")
+    )
+
+
 def load_machine(name: str) -> MachineSpec:
     """Load a shipped machine spec by name (bgq, crayxt5).
 
     Only the files under ``machines/`` are looked up; to load a spec file of
     your own, read it and pass its text to :func:`formats.parse_machine`.
     """
-    import importlib.resources as resources
-
     from .formats import parse_machine
 
-    for spec in resources.files("pebblebound").joinpath("machines").iterdir():
-        if spec.name == f"{name}.machine":
-            return parse_machine(spec.read_text(encoding="utf-8"))
-    raise BoundError(f"no machine file or shipped machine named {name!r}")
+    if name not in shipped_machines():
+        raise BoundError(f"no machine file or shipped machine named {name!r}")
+    return parse_machine(_machines_dir().joinpath(f"{name}.machine").read_text(encoding="utf-8"))

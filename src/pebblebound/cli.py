@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .balance import AnalysisReport, analyze, load_machine
+from .balance import AnalysisReport, analyze, load_machine, shipped_machines
 from .bounds import (
     FlowStats,
     analytic_lb,
@@ -282,10 +282,11 @@ def cmd_bound(args, run: _Run) -> None:
 
 
 def cmd_analyze(args, run: _Run) -> None:
-    if Path(args.machine).is_file():
-        machine = parse_machine(run.read(args.machine))
-    else:
+    # a shipped name wins over a file of that name, which ./NAME reads
+    if args.machine in shipped_machines() or not Path(args.machine).is_file():
         machine = load_machine(args.machine)
+    else:
+        machine = parse_machine(run.read(args.machine))
     report = analyze(args.alg, _params_from_args(args), machine)
     _emit_analysis(run, report, args.level)
 
@@ -392,7 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="machine-balance verdicts for an algorithm")
     _add_alg_flags(p)
-    p.add_argument("--machine", required=True, help="shipped machine name or spec file path")
+    p.add_argument(
+        "--machine",
+        required=True,
+        help="shipped machine name (bgq, crayxt5) or spec file path; pass ./bgq to read a local file named bgq",
+    )
     p.add_argument("--level", choices=("vertical", "horizontal"), default=None)
     common(p)
     p.set_defaults(func=cmd_analyze)

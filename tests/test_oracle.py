@@ -23,7 +23,7 @@ from pebblebound import (
     optimal_io,
 )
 from pebblebound import games
-from pebblebound.oracle import OracleStats
+from pebblebound.oracle import OracleStats, _search
 
 from conftest import make_cdag, tagged_dags
 
@@ -197,6 +197,61 @@ class TestStats:
         with pytest.raises(BudgetExhaustedError):
             optimal_io(gen_matmul(2).cdag, 4, budget=10, stats=stats)
         assert stats.expansions == 10
+
+
+class ToySpace:
+    """A hand-written search space: state 0 starts, ``edges[s]`` lists ``(cost, h, successor)``."""
+
+    def __init__(self, edges, h0=0):
+        self.edges, self.h0, self.expanded = edges, h0, []
+
+    def start(self):
+        return 0, self.h0, 0
+
+    def goal(self, state):
+        return False
+
+    def expand(self, state):
+        self.expanded.append(state)
+        return self.edges.get(state, [])
+
+
+class TestOpenList:
+    """``_search`` pops in ``(f, -g, state)`` order and counts every queued entry."""
+
+    @staticmethod
+    def drain(space, budget=100):
+        stats = OracleStats()
+        with pytest.raises(InfeasibleGameError):  # no goal: every reachable state is expanded
+            _search(space, budget, stats)
+        return space.expanded, stats
+
+    def test_equal_keys_pop_smaller_state_first(self):
+        order, _ = self.drain(ToySpace({0: [(1, 1, 5), (1, 1, 3)]}, h0=2))
+        assert order == [0, 3, 5]
+
+    def test_equal_f_pops_deeper_state_first(self):
+        # both at f=2; 7 has g=1 and 4 has g=0
+        order, _ = self.drain(ToySpace({0: [(0, 2, 4), (1, 1, 7)]}, h0=2))
+        assert order == [0, 7, 4]
+
+    def test_superseded_entry_is_skipped_but_counted(self):
+        # 1 is queued at g=5, then again at g=2 through 2; the stale entry
+        # stays queued beside 1@2 and 3@2, so the queue peaks at three
+        edges = {0: [(5, 0, 1), (1, 0, 2)], 2: [(1, 0, 1), (1, 0, 3)]}
+        order, stats = self.drain(ToySpace(edges))
+        assert order == [0, 2, 1, 3]
+        assert (stats.expansions, stats.generated, stats.duplicates) == (4, 4, 0)
+        assert stats.peak_heap == 3
+        assert stats.states == 4
+
+    def test_exhausted_budget_returns_the_popped_f_value(self):
+        # f runs 1, 3, 5 along the chain; the third pop exceeds a budget of two
+        space = ToySpace({0: [(2, 1, 1)], 1: [(2, 1, 2)], 2: [(2, 1, 3)]}, h0=1)
+        stats = OracleStats()
+        assert _search(space, 2, stats) == (False, 5)
+        assert space.expanded == [0, 1]
+        assert stats.expansions == 2
 
 
 class TestCeiling:

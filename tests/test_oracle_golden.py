@@ -5,6 +5,16 @@ Replays :func:`optimal_io` on a fixed case list and compares each result
 ``tests/golden/oracle_optima.txt``.  Any change to the search may change
 how much work it does, never a value: every line must match byte for byte.
 
+The same pass also pins the search's work.  Each case yields one work line
+(the value or error class; ``lower`` and ``best_known`` when the budget
+runs out; and the ``expansions``, ``generated``, ``duplicates`` and
+``peak_heap`` counters), and a sha256 over those lines must equal
+``WORK_SHA256``.  A change that keeps every optimum but pops states in a
+different order changes that hash.  To print it after an intended change
+of the search's work::
+
+    PYTHONPATH=src python tests/test_oracle_golden.py --work-sha256
+
 The cases are the sandwich fixtures at S = 2..5 in both games (``rb`` only
 where the fixture's tagging is ``hk``), the eight desk-certify oracle jobs
 at generator ids, and seeded random DAGs of at most nine vertices, half
@@ -19,19 +29,23 @@ To regenerate the golden file after an intended change of the values::
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from pathlib import Path
 
 from pebblebound import Cdag, gen_cg, gen_composite, gen_gmres, gen_jacobi, gen_matmul, gen_outer_product
 from pebblebound import optimal_io
-from pebblebound.errors import PebbleboundError
+from pebblebound.errors import BudgetExhaustedError, PebbleboundError
+from pebblebound.oracle import OracleStats
 
 from test_acceptance import SANDWICH_FIXTURES
 
 GOLDEN = Path(__file__).parent / "golden" / "oracle_optima.txt"
 
 RANDOM_CASES = 300
+
+WORK_SHA256 = "9dac8dc38bd2a32a8ed771b1752c4925d806942c1533a97810715db2dc26b46c"
 
 # the desk-certify oracle jobs: (name, cdag, S, game, budget or None)
 DESK_CASES = [
@@ -92,23 +106,43 @@ def cases():
             yield f"random-{seed}@S{S}:{game}", cdag, S, game, None
 
 
-def result_line(name, cdag, S, game, budget) -> str:
+def replay(name, cdag, S, game, budget) -> tuple[str, str]:
+    """One case's golden line and its work line."""
     kwargs = {"budget": budget} if budget else {}
+    stats = OracleStats()
+    bracket = ""
     try:
-        value = int(optimal_io(cdag, S, game=game, **kwargs).value)
+        result = str(int(optimal_io(cdag, S, game=game, stats=stats, **kwargs).value))
     except PebbleboundError as exc:
-        return f"{name} {type(exc).__name__}"
-    return f"{name} {value}"
+        result = type(exc).__name__
+        if isinstance(exc, BudgetExhaustedError):
+            bracket = f" lower={exc.lower} best_known={exc.best_known}"
+    work = (
+        f"{name} {result}{bracket} expansions={stats.expansions} generated={stats.generated}"
+        f" duplicates={stats.duplicates} peak_heap={stats.peak_heap}"
+    )
+    return f"{name} {result}", work
+
+
+def replay_all() -> tuple[list[str], str]:
+    """Every golden line, and the sha256 over every work line."""
+    lines, digest = [], hashlib.sha256()
+    for case in cases():
+        line, work = replay(*case)
+        lines.append(line)
+        digest.update(work.encode() + b"\n")
+    return lines, digest.hexdigest()
 
 
 def test_oracle_optima_match_golden():
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
-    got = [result_line(*case) for case in cases()]
+    got, work_sha256 = replay_all()
     assert len(got) == len(expected)
     mismatches = [(e, g) for e, g in zip(expected, got) if e != g]
     assert not mismatches, mismatches[:10]
+    assert work_sha256 == WORK_SHA256
 
 
 if __name__ == "__main__":
-    for case in cases():
-        sys.stdout.write(result_line(*case) + "\n")
+    lines, work_sha256 = replay_all()
+    sys.stdout.write(work_sha256 + "\n" if sys.argv[1:] == ["--work-sha256"] else "".join(l + "\n" for l in lines))
