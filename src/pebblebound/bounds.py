@@ -129,6 +129,12 @@ def check_spartition(cdag: Cdag, blocks: Iterable[Iterable[int]], S: int, mode: 
     return cert, violations
 
 
+def require_S(S: int, method: str) -> None:
+    """Raise BoundError unless the capacity S is at least 1."""
+    if S < 1:
+        raise BoundError(f"the {method} bound needs S >= 1")
+
+
 def spart_lower_bound(cdag: Cdag, S: int, umax: int) -> BoundReport:
     """Partition-counting bound: S * (|V - I| / umax - 1), clamped at zero.
 
@@ -137,10 +143,9 @@ def spart_lower_bound(cdag: Cdag, S: int, umax: int) -> BoundReport:
     ``check("rbw")``.
     """
     cdag.check("rbw")
-    if umax == 0:
+    require_S(S, "spart")
+    if umax < 1:
         raise BoundError("umax must be >= 1")
-    if umax < 0 or S < 1:
-        raise BoundError("spart bound needs umax >= 1 and S >= 1")
     work = len(cdag.vertices - cdag.inputs)
     value = nonneg(Fraction(S) * (Fraction(work, umax) - 1))
     return BoundReport(
@@ -505,6 +510,7 @@ def mincut_lower_bound(
     both stored and reloaded, giving two transfers each.  ``stats`` is
     passed to :func:`wmax`.
     """
+    require_S(S, "mincut")
     if cdag.inputs:
         raise BoundError("this bound needs an input-free CDAG; delete or untag inputs first")
     w = wmax(cdag, candidates, stats)
@@ -524,9 +530,11 @@ def mincut_divide_bound(
 
     Each block is induced, stripped of its global inputs and outputs, and
     charged 2 * (wmax_i - S); the stripped input/output vertices are worth
-    one transfer apiece, adding |I| + |O|.  ``stats`` is passed to every
-    block's :func:`wmax`.
+    one transfer apiece, adding |I u O| (the union): a vertex tagged both
+    input and output is already blue, so its load is its only transfer.
+    ``stats`` is passed to every block's :func:`wmax`.
     """
+    require_S(S, "mincut-divide")
     violations = partition.validate(cdag)
     if violations:
         raise BoundError("invalid partition: " + "; ".join(violations))
@@ -542,12 +550,12 @@ def mincut_divide_bound(
         contribution = nonneg(Fraction(2) * (w - S))
         per_block.append(w)
         total += contribution
-    value = total + len(cdag.inputs) + len(cdag.outputs)
+    value = total + len(cdag.inputs | cdag.outputs)
     return BoundReport(
         kind="lower",
         value=value,
         method="mincut",
-        symbolic="sum_i 2*(wmax_i - S) + |I| + |O|",
+        symbolic="sum_i 2*(wmax_i - S) + |I u O|",
         params={"S": S, "blocks": len(partition.blocks), "wmax_per_block": tuple(per_block)},
     )
 
@@ -660,8 +668,7 @@ def analytic_lb(algorithm: str, params: AlgorithmParams, P: int = 1, S: int = 0)
             params={"n": n, "d": d, "m": m, "P": P, "S": S},
         )
     if algorithm == "jacobi":
-        if S < 1:
-            raise BoundError("the stencil bound needs S >= 1")
+        require_S(S, "stencil")
         value = nonneg(Fraction(n**d * T, 4 * P) / _real_root(2 * S, d))
         return BoundReport(
             kind="lower", value=value, method="analytic",
@@ -669,8 +676,7 @@ def analytic_lb(algorithm: str, params: AlgorithmParams, P: int = 1, S: int = 0)
             params={"n": n, "d": d, "T": T, "P": P, "S": S},
         )
     if algorithm == "matmul":
-        if S < 1:
-            raise BoundError("the matmul bound needs S >= 1")
+        require_S(S, "matmul")
         value = nonneg(Fraction(n**3, 2) / _real_root(2 * S, 2))
         return BoundReport(
             kind="lower", value=value, method="analytic",

@@ -34,6 +34,7 @@ from .bounds import (
     analytic_lb,
     mincut_divide_bound,
     mincut_lower_bound,
+    require_S,
     spart_lower_bound,
     umax_bruteforce,
 )
@@ -257,6 +258,7 @@ def cmd_bound(args, run: _Run) -> None:
         if args.method == "oracle":
             rep = _optimum(run, cdag, args)
         elif args.method == "spart":
+            require_S(args.S, "spart")  # before the umax search, whose errors name 2S
             umax = args.umax
             if umax is None:
                 umax = umax_bruteforce(cdag, 2 * args.S, budget=args.budget)

@@ -30,6 +30,7 @@ class GameError(PebbleboundError):
             parts.append(f"vertex {vertex}")
         prefix = " ".join(parts)
         super().__init__(f"{prefix}: {message}" if prefix else message)
+        self.message = message
         self.step = step
         self.rule = rule
         self.vertex = vertex

@@ -14,8 +14,9 @@ Three games are supported:
 
 One checker, :class:`FlatGame`, serves both flat games (``rb`` and
 ``rbw``); :class:`PrbwGame` checks the hierarchical one.  Validators are
-incremental: any prefix of a valid trace is itself a valid partial game,
-and violations name the offending step, rule, and vertex.
+incremental: any prefix of a valid trace is itself a valid partial game.
+A checker's ``apply`` names only the vertex a violation concerns; the
+``validate_*`` functions, which walk the trace, add its step and rule.
 """
 
 from __future__ import annotations
@@ -178,6 +179,8 @@ class FlatGame:
     ``rbw`` forbids recomputation and requires every vertex to be fired.
     """
 
+    rules = RBW_RULE  # _play names a violation's rule from this table
+
     def __init__(self, cdag: Cdag, S: int, game: str):
         if game not in ("rb", "rbw"):
             raise GameError(f"unknown flat game {game!r}")
@@ -191,50 +194,42 @@ class FlatGame:
         self.white: set[int] = set()
         self.blue: set[int] = set(cdag.inputs)
         self.tally = IoTally()
-        self.step = 0
 
     def apply(self, move: RbwMove) -> None:
-        self.step += 1
         v = move.vertex
-        rule = RBW_RULE[move.kind]
         if v not in self.cdag.vertices:
-            raise GameError("unknown vertex", step=self.step, rule=rule, vertex=v)
+            raise GameError("unknown vertex", vertex=v)
         if move.kind == "Input":
             if v not in self.blue:
-                raise GameError("load requires a blue pebble", step=self.step, rule=rule, vertex=v)
-            self._place(v, rule)
+                raise GameError("load requires a blue pebble", vertex=v)
+            self._place(v)
             self.white.add(v)
             self.tally.loads += 1
         elif move.kind == "Output":
             if v not in self.red:
-                raise GameError("store requires a red pebble", step=self.step, rule=rule, vertex=v)
+                raise GameError("store requires a red pebble", vertex=v)
             self.blue.add(v)
             self.tally.stores += 1
         elif move.kind == "Compute":
             if v in self.cdag.inputs:
-                raise GameError("input vertices cannot fire", step=self.step, rule=rule, vertex=v)
+                raise GameError("input vertices cannot fire", vertex=v)
             if not self.recompute and v in self.white:
-                raise GameError("recomputation forbidden", step=self.step, rule=rule, vertex=v)
+                raise GameError("recomputation forbidden", vertex=v)
             missing = self.cdag.preds[v] - self.red
             if missing:
-                raise GameError(
-                    f"predecessors without red pebbles: {sorted(missing)}",
-                    step=self.step,
-                    rule=rule,
-                    vertex=v,
-                )
-            self._place(v, rule)
+                raise GameError(f"predecessors without red pebbles: {sorted(missing)}", vertex=v)
+            self._place(v)
             self.white.add(v)
-        else:  # Delete
+        elif move.kind == "Delete":
             if v not in self.red:
-                raise GameError("no red pebble to delete", step=self.step, rule=rule, vertex=v)
+                raise GameError("no red pebble to delete", vertex=v)
             self.red.discard(v)
+        else:  # a hierarchical move has kinds no flat game has
+            raise GameError(f"unknown move kind {move.kind!r}", vertex=v)
 
-    def _place(self, v: int, rule: str) -> None:
+    def _place(self, v: int) -> None:
         if v not in self.red and len(self.red) + 1 > self.S:
-            raise GameError(
-                f"red capacity {self.S} exceeded", step=self.step, rule=rule, vertex=v
-            )
+            raise GameError(f"red capacity {self.S} exceeded", vertex=v)
         self.red.add(v)
 
     def finish(self) -> IoTally:
@@ -248,8 +243,12 @@ class FlatGame:
 
 
 def _play(game, trace: Iterable) -> IoTally:
-    for move in trace:
-        game.apply(move)
+    """Apply a trace move by move, locating a violation by step and rule, then finish."""
+    for step, move in enumerate(trace, 1):
+        try:
+            game.apply(move)
+        except GameError as err:
+            raise GameError(err.message, step, game.rules.get(move.kind), err.vertex) from None
     return game.finish()
 
 
@@ -271,6 +270,9 @@ def validate_rbw(cdag: Cdag, S: int, trace: Iterable[RbwMove]) -> IoTally:
 class PrbwGame:
     """Incremental rule checker for the hierarchical parallel game."""
 
+    rules = PRBW_RULE
+    recompute = False  # finish is FlatGame's, whose rbw branch is this game's rule
+
     def __init__(self, cdag: Cdag, config: HierarchyConfig):
         cdag.check("rbw")
         config.check()
@@ -284,7 +286,6 @@ class PrbwGame:
         self.white: set[int] = set()
         self.blue: set[int] = set(cdag.inputs)
         self.tally = IoTally()
-        self.step = 0
 
     def _held(self, level: int, unit: int):
         return self.pebbles.get((level, unit), frozenset())
@@ -297,13 +298,13 @@ class PrbwGame:
             held |= self._held(*lu)
         return len(held)
 
-    def _check_unit(self, level: int, unit: int, rule: str) -> None:
+    def _check_unit(self, level: int, unit: int) -> None:
         if not 1 <= level <= self.L:
-            raise GameError(f"level {level} out of range", step=self.step, rule=rule)
+            raise GameError(f"level {level} out of range")
         if not 0 <= unit < self.cfg.units[level - 1]:
-            raise GameError(f"unit {unit} out of range at level {level}", step=self.step, rule=rule)
+            raise GameError(f"unit {unit} out of range at level {level}")
 
-    def _place(self, v: int, level: int, unit: int, rule: str) -> None:
+    def _place(self, v: int, level: int, unit: int) -> None:
         self.pebbles.setdefault((level, unit), set()).add(v)
         # capacity must hold at the unit and, inclusively, at every ancestor
         l, u = level, unit
@@ -311,143 +312,95 @@ class PrbwGame:
             occ = self._occupancy(l, u)
             if occ > self.cfg.capacities[l - 1]:
                 self.pebbles[(level, unit)].discard(v)
-                raise GameError(
-                    f"capacity {self.cfg.capacities[l - 1]} exceeded at level {l} unit {u}",
-                    step=self.step,
-                    rule=rule,
-                    vertex=v,
-                )
+                raise GameError(f"capacity {self.cfg.capacities[l - 1]} exceeded at level {l} unit {u}", vertex=v)
             if self.cfg.policy == "exclusive" or l == self.L:
                 break
             u = self.cfg.parent[(l, u)]
             l += 1
 
     def apply(self, move: PrbwMove) -> None:
-        self.step += 1
         v = move.vertex
-        rule = PRBW_RULE[move.kind]
         if v not in self.cdag.vertices:
-            raise GameError("unknown vertex", step=self.step, rule=rule, vertex=v)
+            raise GameError("unknown vertex", vertex=v)
         if move.kind == "Input":
-            self._check_unit(self.L, move.unit, rule)
+            self._check_unit(self.L, move.unit)
             if v not in self.blue:
-                raise GameError("load requires a blue pebble", step=self.step, rule=rule, vertex=v)
-            self._place(v, self.L, move.unit, rule)
+                raise GameError("load requires a blue pebble", vertex=v)
+            self._place(v, self.L, move.unit)
             self.white.add(v)
             self.tally.loads += 1
         elif move.kind == "Output":
-            self._check_unit(self.L, move.unit, rule)
+            self._check_unit(self.L, move.unit)
             if v not in self._held(self.L, move.unit):
-                raise GameError(
-                    f"store requires a level-{self.L} pebble in unit {move.unit}",
-                    step=self.step,
-                    rule=rule,
-                    vertex=v,
-                )
+                raise GameError(f"store requires a level-{self.L} pebble in unit {move.unit}", vertex=v)
             self.blue.add(v)
             self.tally.stores += 1
         elif move.kind == "RemoteGet":
             src, dst = move.src_unit, move.unit
             if src is None:
-                raise GameError("remote-get needs a source unit", step=self.step, rule=rule, vertex=v)
-            self._check_unit(self.L, src, rule)
-            self._check_unit(self.L, dst, rule)
+                raise GameError("remote-get needs a source unit", vertex=v)
+            self._check_unit(self.L, src)
+            self._check_unit(self.L, dst)
             if src == dst:
-                raise GameError("remote-get needs distinct units", step=self.step, rule=rule, vertex=v)
+                raise GameError("remote-get needs distinct units", vertex=v)
             if v not in self._held(self.L, src):
-                raise GameError(
-                    f"no level-{self.L} pebble in source unit {src}",
-                    step=self.step,
-                    rule=rule,
-                    vertex=v,
-                )
-            self._place(v, self.L, dst, rule)
+                raise GameError(f"no level-{self.L} pebble in source unit {src}", vertex=v)
+            self._place(v, self.L, dst)
             self.tally.horizontal[dst] = self.tally.horizontal.get(dst, 0) + 1
         elif move.kind == "MoveUp":
             # data moves toward the processors: child unit copies from parent
             level, unit = move.level, move.unit
             if not 1 <= level < self.L:
-                raise GameError(f"move toward processors needs level < {self.L}", step=self.step, rule=rule)
-            self._check_unit(level, unit, rule)
+                raise GameError(f"move toward processors needs level < {self.L}")
+            self._check_unit(level, unit)
             par = self.cfg.parent[(level, unit)]
             if v not in self._held(level + 1, par):
-                raise GameError(
-                    f"parent unit {par} at level {level + 1} holds no pebble",
-                    step=self.step,
-                    rule=rule,
-                    vertex=v,
-                )
-            self._place(v, level, unit, rule)
+                raise GameError(f"parent unit {par} at level {level + 1} holds no pebble", vertex=v)
+            self._place(v, level, unit)
             key = (level, unit)
             self.tally.vertical_down[key] = self.tally.vertical_down.get(key, 0) + 1
         elif move.kind == "MoveDown":
             # data moves toward main memory: parent unit copies from a child
             level, unit = move.level, move.unit
             if not 2 <= level <= self.L:
-                raise GameError("move toward memory needs level >= 2", step=self.step, rule=rule)
-            self._check_unit(level, unit, rule)
+                raise GameError("move toward memory needs level >= 2")
+            self._check_unit(level, unit)
             children = self.cfg.children(level, unit)
             holders = [c for c in children if v in self._held(level - 1, c)]
             if move.src_unit is not None:
                 if move.src_unit not in children:
-                    raise GameError(
-                        f"unit {move.src_unit} is not a child of level {level} unit {unit}",
-                        step=self.step,
-                        rule=rule,
-                        vertex=v,
-                    )
+                    raise GameError(f"unit {move.src_unit} is not a child of level {level} unit {unit}", vertex=v)
                 if v not in self._held(level - 1, move.src_unit):
-                    raise GameError(
-                        f"child unit {move.src_unit} holds no pebble",
-                        step=self.step,
-                        rule=rule,
-                        vertex=v,
-                    )
+                    raise GameError(f"child unit {move.src_unit} holds no pebble", vertex=v)
                 child = move.src_unit
             elif holders:
                 child = holders[0]
             else:
-                raise GameError(
-                    f"no child of level {level} unit {unit} holds a pebble",
-                    step=self.step,
-                    rule=rule,
-                    vertex=v,
-                )
-            self._place(v, level, unit, rule)
+                raise GameError(f"no child of level {level} unit {unit} holds a pebble", vertex=v)
+            self._place(v, level, unit)
             key = (level - 1, child)
             self.tally.vertical_up[key] = self.tally.vertical_up.get(key, 0) + 1
         elif move.kind == "Compute":
             proc = move.unit
-            self._check_unit(1, proc, rule)
+            self._check_unit(1, proc)
             if v in self.cdag.inputs:
-                raise GameError("input vertices cannot fire", step=self.step, rule=rule, vertex=v)
+                raise GameError("input vertices cannot fire", vertex=v)
             if v in self.white:
-                raise GameError("recomputation forbidden", step=self.step, rule=rule, vertex=v)
+                raise GameError("recomputation forbidden", vertex=v)
             missing = self.cdag.preds[v] - self._held(1, proc)
             if missing:
-                raise GameError(
-                    f"predecessors not in processor {proc} registers: {sorted(missing)}",
-                    step=self.step,
-                    rule=rule,
-                    vertex=v,
-                )
-            self._place(v, 1, proc, rule)
+                raise GameError(f"predecessors not in processor {proc} registers: {sorted(missing)}", vertex=v)
+            self._place(v, 1, proc)
             self.white.add(v)
             self.tally.computes[proc] = self.tally.computes.get(proc, 0) + 1
         else:  # Delete
             level, unit = move.level, move.unit
-            self._check_unit(level, unit, rule)
+            self._check_unit(level, unit)
             if v not in self._held(level, unit):
-                raise GameError("no pebble to delete", step=self.step, rule=rule, vertex=v)
+                raise GameError("no pebble to delete", vertex=v)
             self.pebbles[(level, unit)].discard(v)
 
-    def finish(self) -> IoTally:
-        unfired = sorted(set(self.cdag.vertices) - self.white)
-        if unfired:
-            raise GameError(f"vertices never fired/loaded: {unfired}")
-        if not self.cdag.outputs <= self.blue:
-            raise GameError(f"outputs not blue-pebbled: {sorted(self.cdag.outputs - self.blue)}")
-        return self.tally
+    finish = FlatGame.finish
 
 
 def validate_prbw(cdag: Cdag, config: HierarchyConfig, trace: Iterable[PrbwMove]) -> IoTally:

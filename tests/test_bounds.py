@@ -380,6 +380,14 @@ class TestMincutBounds:
         with pytest.raises(BoundError, match="invalid partition"):
             mincut_divide_bound(c, Partition.of([{0}]), 1)
 
+    @pytest.mark.parametrize("S", [0, -5])
+    def test_both_reject_nonpositive_S(self, S):
+        c = make_cdag(3, [(0, 1), (1, 2)])
+        with pytest.raises(BoundError, match="^the mincut bound needs S >= 1$"):
+            mincut_lower_bound(c, S)
+        with pytest.raises(BoundError, match="^the mincut-divide bound needs S >= 1$"):
+            mincut_divide_bound(c, Partition.of([c.vertices]), S)
+
 
 class TestHierarchyTransfers:
     def test_sequential_division(self):
@@ -508,6 +516,12 @@ class TestSoundness:
         opt = optimal_io(c, 4).value
         rep = mincut_divide_bound(c, Partition.of([c.vertices]), 4)
         assert rep.value <= opt
+
+    def test_mincut_divide_counts_an_input_output_vertex_once(self):
+        # vertex 1 is tagged both: already blue, so its load is its only transfer
+        c = make_cdag(2, [], inputs=[0, 1], outputs=[1])
+        assert optimal_io(c, 4).value == 2
+        assert mincut_divide_bound(c, Partition.of([c.vertices]), 4).value == 2
 
     def test_mincut_divide_sound_with_positive_wavefront_term(self):
         # gather: untagged sources s0..s4 (0-4), a left-leaning add chain

@@ -194,6 +194,16 @@ class TestBoundAndAnalyze:
         assert code == 0
         assert "bound.value" in kv_dict(out)
 
+    @pytest.mark.parametrize("S", ["0", "-2", "-5"])
+    @pytest.mark.parametrize("method", ["spart", "mincut", "mincut-divide"])
+    def test_nonpositive_S_exits_1_naming_S(self, method, S, jacobi_files, capsys):
+        cdag, ann, _ = jacobi_files
+        code, out, err = run_cli(
+            ["bound", "--method", method, "--cdag", str(cdag), "--partition", str(ann), "--S", S, "--kv"],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", f"error: the {method} bound needs S >= 1\n")
+
     @pytest.mark.parametrize(
         "alg,S",
         [

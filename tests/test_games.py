@@ -124,6 +124,12 @@ class TestValidateRbw:
         for move in trace:  # no step may raise
             game.apply(move)
 
+    def test_flat_checker_rejects_a_hierarchical_move(self):
+        c = make_cdag(2, [(0, 1)], inputs=[0], outputs=[1])
+        trace = [RbwMove("Input", 0), PrbwMove("MoveUp", 0, level=1)]
+        with pytest.raises(GameError, match="^step 2 vertex 0: unknown move kind 'MoveUp'$"):
+            validate_rbw(c, 2, trace)
+
     def test_flat_checker_rejects_unknown_game(self):
         with pytest.raises(GameError, match="unknown flat game"):
             FlatGame(gen_chain(2).cdag, 2, "prbw")

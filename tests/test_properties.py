@@ -16,10 +16,15 @@ from pebblebound import (
     Partition,
     check_spartition,
     gen_jacobi,
+    heuristic_game,
+    mincut_divide_bound,
     optimal_io,
+    spart_lower_bound,
+    umax_bruteforce,
+    validate_rbw,
 )
 
-from conftest import iter_set_partitions, make_cdag, random_dag, small_dags
+from conftest import iter_set_partitions, make_cdag, random_dag, small_dags, tagged_dags
 
 ORACLE_SETTINGS = dict(
     max_examples=25,
@@ -124,3 +129,25 @@ class TestOracleAgainstRecomputationGame:
             assert rb is None or rb >= 0  # rbw infeasible says nothing about rb
             return
         assert rb is not None and rb <= rbw
+
+
+class TestRbwSandwich:
+    """Lower bounds <= optimum <= the player's tally, on random tagged DAGs.
+
+    ``tagged_dags`` may tag one vertex as both input and output, which
+    the generators never do.
+    """
+
+    @given(tagged_dags(max_n=10), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_sandwich_the_optimum(self, cdag, S):
+        opt = try_oracle(cdag, S)
+        if opt is None:
+            return
+        umax = umax_bruteforce(cdag, 2 * S)
+        if umax:  # no work vertex: nothing to partition
+            assert spart_lower_bound(cdag, S, umax).value <= opt
+        assert mincut_divide_bound(cdag, Partition.of([cdag.vertices]), S).value <= opt
+        if S >= 2:  # the player's floor
+            trace, tally = heuristic_game(cdag, S)
+            assert validate_rbw(cdag, S, trace).io == tally.io >= opt

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end and print their tables."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +34,19 @@ def test_script_runs_and_prints_header(script, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_traced_launcher_wraps_the_game_layer(tmp_path):
+    # the launcher finds the functions it wraps by name, so a rename in the
+    # package would otherwise surface only in a traced benchmark run
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cdag, spans = tmp_path / "jac.cdag", tmp_path / "spans.json"
+    for argv in (
+        ["-m", "pebblebound.cli", "generate", "--alg", "jacobi", "--n", "4", "--d", "1", "--T", "3",
+         "--out", str(cdag)],
+        [str(ROOT / "perfbench" / "shim.py"), str(spans), "job", "play", "--cdag", str(cdag), "--S", "4", "--kv"],
+    ):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(spans.read_text())}
+    assert {"games.heuristic", "games.validate"} <= names
