@@ -23,20 +23,20 @@ def fmt(x):
 def main():
     machines = [load_machine("bgq"), load_machine("crayxt5")]
     instances = [
-        ("cg", AlgorithmParams("cg", n=1000, d=3, T=1)),
-        ("gmres", AlgorithmParams("gmres", n=1000, d=3, m=1)),
-        ("gmres", AlgorithmParams("gmres", n=1000, d=3, m=10)),
-        ("gmres", AlgorithmParams("gmres", n=1000, d=3, m=100)),
-        ("jacobi", AlgorithmParams("jacobi", n=1000, d=2, T=100)),
-        ("jacobi", AlgorithmParams("jacobi", n=100, d=3, T=100)),
+        AlgorithmParams("cg", n=1000, d=3, T=1),
+        AlgorithmParams("gmres", n=1000, d=3, m=1),
+        AlgorithmParams("gmres", n=1000, d=3, m=10),
+        AlgorithmParams("gmres", n=1000, d=3, m=100),
+        AlgorithmParams("jacobi", n=1000, d=2, T=100),
+        AlgorithmParams("jacobi", n=100, d=3, T=100),
     ]
     for machine in machines:
         print(f"=== {machine.name}: N_nodes={machine.n_nodes}, "
               f"vbal={machine.vertical_balance}, hbal={machine.horizontal_balance} ===")
-        for alg, params in instances:
-            report = analyze(alg, params, machine)
-            tag = f"{alg}(n={params.n}, d={params.d}, "
-            tag += f"m={params.m})" if alg == "gmres" else f"T={params.T})"
+        for params in instances:
+            report = analyze(params, machine)
+            tag = f"{params.algorithm}(n={params.n}, d={params.d}, "
+            tag += f"m={params.m})" if params.algorithm == "gmres" else f"T={params.T})"
             print(f"  {tag}")
             print(f"    vertical:   intensity {fmt(report.vertical.algorithm_intensity):>22}"
                   f"  -> {report.vertical.verdict}")

@@ -33,10 +33,10 @@ from pebblebound import (
 FIXTURES = [
     ("chain k=8", gen_chain(8), None),
     ("outer N=2", gen_outer_product(2), None),
-    ("matmul N=2", gen_matmul(2), ("matmul", AlgorithmParams("matmul", n=2))),
+    ("matmul N=2", gen_matmul(2), AlgorithmParams("matmul", n=2)),
     ("composite N=1", gen_composite(1), None),
-    ("jacobi 4x3", gen_jacobi(4, 1, 3, 3), ("jacobi", AlgorithmParams("jacobi", n=4, d=1, T=3, stencil_points=3))),
-    ("cg n=2 T=1", gen_cg(2, 1, 1), ("cg", AlgorithmParams("cg", n=2, d=1, T=1))),
+    ("jacobi 4x3", gen_jacobi(4, 1, 3, 3), AlgorithmParams("jacobi", n=4, d=1, T=3, stencil_points=3)),
+    ("cg n=2 T=1", gen_cg(2, 1, 1), AlgorithmParams("cg", n=2, d=1, T=1)),
 ]
 
 
@@ -57,7 +57,7 @@ def main():
             mincut = mincut_divide_bound(cdag, Partition.of([cdag.vertices]), S).value
             closed = "-"
             if analytic is not None:
-                closed = f"{float(analytic_lb(analytic[0], analytic[1], P=1, S=S).value):.2f}"
+                closed = f"{float(analytic_lb(analytic, P=1, S=S).value):.2f}"
             _, tally = heuristic_game(cdag, S)
             elapsed = time.monotonic() - started
             print(f"{name:<16}{S:>3}{float(spart):>8.2f}{float(mincut):>8.2f}"

@@ -41,6 +41,10 @@ class CacheLevel:
     shared_by: int = 1
     balance: Optional[float] = None
 
+    def __post_init__(self):
+        if self.capacity_words < 1 or self.shared_by < 1:
+            raise BoundError("cache capacity and sharing degree must be >= 1")
+
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -78,32 +82,34 @@ class MachineSpec:
 
 @dataclass(frozen=True)
 class BalanceVerdict:
-    """One balance comparison: algorithm intensity vs machine ratio."""
+    """One balance comparison: algorithm intensity vs machine ratio.
+
+    A ``vertical`` verdict rests on a lower bound, a ``horizontal`` one on
+    an upper bound.
+    """
 
     level: str
     algorithm_intensity: Number
     machine_balance: float
     verdict: str
-    bound_kind: str
-    detail: str = ""
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
             raise BoundError(f"unknown verdict {self.verdict!r}")
 
 
-def check_vertical(lb_vert: BoundReport, v_size: int, n_nodes: int, machine: MachineSpec) -> BalanceVerdict:
+def check_vertical(lb_vert: BoundReport, v_size: int, machine: MachineSpec) -> BalanceVerdict:
     """Compare a per-node vertical lower bound against the machine balance.
 
-    Intensity is LB * n_nodes / |V| in words per flop; exceeding the
-    machine's vertical balance proves the algorithm bandwidth-bound at
-    that level for every schedule.
+    Intensity is LB * N_nodes / |V| in words per flop, N_nodes being the
+    machine's node count; exceeding the machine's vertical balance proves
+    the algorithm bandwidth-bound at that level for every schedule.
     """
     if lb_vert.kind not in ("lower", "exact"):
         raise BoundError("vertical check needs a lower bound")
     if v_size == 0:
         raise BoundError("operation count must be nonzero")
-    intensity = _intensity(lb_vert.value, n_nodes, v_size)
+    intensity = lb_vert.value * machine.n_nodes / v_size
     if intensity > machine.vertical_balance:
         verdict = "provably-bandwidth-bound"
     else:
@@ -113,22 +119,22 @@ def check_vertical(lb_vert: BoundReport, v_size: int, n_nodes: int, machine: Mac
         algorithm_intensity=intensity,
         machine_balance=machine.vertical_balance,
         verdict=verdict,
-        bound_kind="lower",
-        detail=f"LB*N_nodes/|V| vs {machine.name} vertical balance",
     )
 
 
-def check_horizontal(ub_horiz: BoundReport, v_size: int, n_nodes: int, machine: MachineSpec) -> BalanceVerdict:
+def check_horizontal(ub_horiz: BoundReport, v_size: int, machine: MachineSpec) -> BalanceVerdict:
     """Compare a per-node horizontal upper bound against the machine balance.
 
-    An upper-bound intensity below the horizontal balance certifies that
-    some schedule is not limited by inter-node bandwidth.
+    Intensity is UB * N_nodes / |V|, N_nodes being the machine's node
+    count.  An intensity below the horizontal balance certifies that some
+    schedule is not limited by inter-node bandwidth.  An exact report
+    counts as the upper bound it also is.
     """
-    if ub_horiz.kind != "upper":
+    if ub_horiz.kind not in ("upper", "exact"):
         raise BoundError("horizontal check needs an upper bound")
     if v_size == 0:
         raise BoundError("operation count must be nonzero")
-    intensity = _intensity(ub_horiz.value, n_nodes, v_size)
+    intensity = ub_horiz.value * machine.n_nodes / v_size
     if intensity < machine.horizontal_balance:
         verdict = "not-bandwidth-bound-achievable"
     else:
@@ -138,13 +144,7 @@ def check_horizontal(ub_horiz: BoundReport, v_size: int, n_nodes: int, machine: 
         algorithm_intensity=intensity,
         machine_balance=machine.horizontal_balance,
         verdict=verdict,
-        bound_kind="upper",
-        detail=f"UB*N_nodes/|V| vs {machine.name} horizontal balance",
     )
-
-
-def _intensity(value: Number, n_nodes: int, v_size: int) -> Number:
-    return value * n_nodes / v_size
 
 
 @dataclass(frozen=True)
@@ -198,72 +198,59 @@ class AnalysisReport:
     jacobi_thresholds: tuple[tuple[str, DimensionThreshold], ...] = ()
 
 
-def flop_count(algorithm: str, params: AlgorithmParams) -> int:
-    """Operation-count models used for intensity denominators.
+def flop_count(params: AlgorithmParams) -> int:
+    """Operation count of ``params.algorithm``, the intensity denominator.
 
     Supported: cg at d=3 (20 n^3 T), gmres at d=3 (20 n^3 m + n^3 m^2),
     jacobi at any d (stencil_points * n^d * T).
     """
     n, d, T, m = params.n, params.d, params.T, params.m
-    if algorithm == "cg":
-        if d != 3:
-            raise BoundError("supported operation models: cg d=3, gmres d=3, jacobi any d")
+    if params.algorithm == "cg" and d == 3:
         return 20 * n**3 * T
-    if algorithm == "gmres":
-        if d != 3:
-            raise BoundError("supported operation models: cg d=3, gmres d=3, jacobi any d")
+    if params.algorithm == "gmres" and d == 3:
         return 20 * n**3 * m + n**3 * m**2
-    if algorithm == "jacobi":
+    if params.algorithm == "jacobi":
         pts = params.stencil_points if params.stencil_points is not None else 3**d
         return pts * n**d * T
     raise BoundError("supported operation models: cg d=3, gmres d=3, jacobi any d")
 
 
-def analyze(algorithm: str, params: AlgorithmParams, machine: MachineSpec) -> AnalysisReport:
-    """Run both balance checks for an algorithm instance on a machine.
+def analyze(params: AlgorithmParams, machine: MachineSpec) -> AnalysisReport:
+    """Run both balance checks for ``params.algorithm`` on a machine.
 
     The vertical lower bound is the closed-form sequential bound divided
-    across nodes; the horizontal upper bound is the ghost-cell form.  For
-    stencil sweeps the report also carries the dimension thresholds of
-    every cache level with a known balance, plus the main-memory one.
+    across the machine's nodes; the horizontal upper bound is the
+    ghost-cell form, whose leading term also gives the asymptotic
+    intensity.  For stencil sweeps the report also carries the dimension
+    thresholds of every cache level with a known balance, plus the
+    main-memory one.
     """
-    v_size = flop_count(algorithm, params)
-    if algorithm == "jacobi":
-        if not machine.caches:
-            raise BoundError("the stencil bound needs a cache level (its capacity sets S)")
-        seq = analytic_lb(algorithm, params, P=1, S=machine.caches[0].capacity_words)
-    else:
-        seq = analytic_lb(algorithm, params, P=1, S=0)
+    v_size = flop_count(params)
+    jacobi = params.algorithm == "jacobi"
+    if jacobi and not machine.caches:
+        raise BoundError("the stencil bound needs a cache level (its capacity sets S)")
+    seq = analytic_lb(params, P=1, S=machine.caches[0].capacity_words if jacobi else 0)
     lb_vert = vertical_bound_from_sequential(seq, machine.n_nodes)
-    ub_horiz = analytic_horizontal_ub(algorithm, params, machine.n_nodes)
-    vertical = check_vertical(lb_vert, v_size, machine.n_nodes, machine)
-    horizontal = check_horizontal(ub_horiz, v_size, machine.n_nodes, machine)
-
-    # the leading-term ghost form, reported alongside the exact one
-    d = params.d
-    iters = params.m if algorithm == "gmres" else params.T
-    B = params.n / machine.n_nodes ** (1.0 / d)
-    asym = 2 * d * B ** (d - 1) * iters * machine.n_nodes / v_size
+    ub_horiz = analytic_horizontal_ub(params, machine.n_nodes)
 
     thresholds: list[tuple[str, DimensionThreshold]] = []
-    if algorithm == "jacobi":
+    if jacobi:
         for cache in machine.caches:
             if cache.balance is not None:
                 thresholds.append((cache.name, jacobi_dimension_threshold(cache.capacity_words, cache.balance)))
-        if machine.caches:
-            main = machine.caches[0]
-            thresholds.append(
-                ("main-memory", jacobi_dimension_threshold(main.capacity_words, machine.vertical_balance))
-            )
+        main = machine.caches[0]
+        thresholds.append(
+            ("main-memory", jacobi_dimension_threshold(main.capacity_words, machine.vertical_balance))
+        )
     return AnalysisReport(
-        algorithm=algorithm,
+        algorithm=params.algorithm,
         machine=machine.name,
         v_size=v_size,
-        vertical=vertical,
-        horizontal=horizontal,
+        vertical=check_vertical(lb_vert, v_size, machine),
+        horizontal=check_horizontal(ub_horiz, v_size, machine),
         vertical_lb=lb_vert,
         horizontal_ub=ub_horiz,
-        horizontal_intensity_asymptotic=asym,
+        horizontal_intensity_asymptotic=ub_horiz.params["leading"] * machine.n_nodes / v_size,
         jacobi_thresholds=tuple(thresholds),
     )
 

@@ -640,8 +640,8 @@ def horizontal_bound_spart(v_size: int, umax_2sl: int, s_l: int, p_i: int) -> Bo
 # ---------------------------------------------------------------------------
 
 
-def analytic_lb(algorithm: str, params: AlgorithmParams, P: int = 1, S: int = 0) -> BoundReport:
-    """Closed-form lower bounds for the generated algorithm families.
+def analytic_lb(params: AlgorithmParams, P: int = 1, S: int = 0) -> BoundReport:
+    """Closed-form lower bound for the family named by ``params.algorithm``.
 
     Pre-asymptotic forms where available; the asymptotic note records the
     regime (n much larger than S) in which the simplified form applies.
@@ -650,7 +650,7 @@ def analytic_lb(algorithm: str, params: AlgorithmParams, P: int = 1, S: int = 0)
     """
     if P < 1 or S < 0:
         raise BoundError("P must be >= 1 and S >= 0")
-    n, d, T, m = params.n, params.d, params.T, params.m
+    algorithm, n, d, T, m = params.algorithm, params.n, params.d, params.T, params.m
     if algorithm == "cg":
         value = nonneg(Fraction(T) * 2 * (3 * n**d - 2 * S) / P)
         return BoundReport(
@@ -696,23 +696,25 @@ def _real_root(base: int, d: int):
     return base ** (1.0 / d)
 
 
-def analytic_horizontal_ub(algorithm: str, params: AlgorithmParams, n_nodes: int) -> BoundReport:
-    """Ghost-cell upper bounds on per-node horizontal traffic.
+def analytic_horizontal_ub(params: AlgorithmParams, n_nodes: int) -> BoundReport:
+    """Ghost-cell upper bound on per-node horizontal traffic for ``params.algorithm``.
 
     Block-partitioned grids exchange one halo per sweep: exactly
     (B+2)^d - B^d values per iteration for the one-deep stencil halo.  The
     two-dimensional stencil sweep uses its standard 4BT edge-exchange
-    total; other dimensions fall back to the general halo form.
+    total; other dimensions fall back to the general halo form.  Both
+    carry ``params["leading"]``, the leading ghost term 2*d*B^(d-1)*iters.
     """
     if n_nodes < 1:
         raise BoundError("n_nodes must be >= 1")
-    n, d, T, m = params.n, params.d, params.T, params.m
+    algorithm, n, d, T, m = params.algorithm, params.n, params.d, params.T, params.m
     B = n / _real_root(n_nodes, d)
     iters = m if algorithm == "gmres" else T
     if algorithm not in ("cg", "gmres", "jacobi"):
         raise BoundError(f"no horizontal upper bound for algorithm {algorithm!r}")
     if B < 1:
         raise BoundError("more nodes than grid blocks: block extent < 1")
+    leading = float(2 * d * B ** (d - 1) * iters)
     if algorithm == "jacobi" and d == 2:
         value = 4 * B * T
         return BoundReport(
@@ -721,7 +723,7 @@ def analytic_horizontal_ub(algorithm: str, params: AlgorithmParams, n_nodes: int
             method="analytic",
             symbolic="4*B*T, B = n/n_nodes^(1/2)",
             params={"n": n, "d": d, "T": T, "n_nodes": n_nodes,
-                    "B": float(B), "ghost": float(4 * B)},
+                    "B": float(B), "ghost": float(4 * B), "leading": leading},
         )
     ghost = (B + 2) ** d - B**d
     value = ghost * iters
@@ -730,7 +732,7 @@ def analytic_horizontal_ub(algorithm: str, params: AlgorithmParams, n_nodes: int
         value=value if isinstance(value, Fraction) else float(value),
         method="analytic",
         symbolic="((B+2)^d - B^d) * iters, B = n/n_nodes^(1/d)",
-        asymptotic=f"O(2*d*B^(d-1)*iters) = {float(2 * d * B ** (d - 1) * iters):.6g}",
+        asymptotic=f"O(2*d*B^(d-1)*iters) = {leading:.6g}",
         params={"n": n, "d": d, "iters": iters, "n_nodes": n_nodes,
-                "B": float(B), "ghost": float(ghost)},
+                "B": float(B), "ghost": float(ghost), "leading": leading},
     )

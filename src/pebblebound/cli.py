@@ -248,7 +248,7 @@ def cmd_bound(args, run: _Run) -> None:
     if args.method == "analytic":
         if not args.alg:
             raise FormatError("--method analytic needs --alg")
-        rep = analytic_lb(args.alg, _params_from_args(args), P=args.P, S=args.S or 0)
+        rep = analytic_lb(_params_from_args(args), P=args.P, S=args.S or 0)
     elif not args.cdag:
         raise FormatError(f"--method {args.method} needs --cdag")
     elif args.S is None:
@@ -289,7 +289,7 @@ def cmd_analyze(args, run: _Run) -> None:
         machine = load_machine(args.machine)
     else:
         machine = parse_machine(run.read(args.machine))
-    report = analyze(args.alg, _params_from_args(args), machine)
+    report = analyze(_params_from_args(args), machine)
     _emit_analysis(run, report, args.level)
 
 

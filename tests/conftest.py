@@ -7,7 +7,9 @@ search code paths so that equality tests are genuine cross-checks.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -20,6 +22,11 @@ from pebblebound import (
     gen_matmul,
     gen_outer_product,
     wavefront_min,
+)
+
+# subprocesses (`python -m pebblebound.cli`) import the package from this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")))
 )
 
 

@@ -158,14 +158,14 @@ SANDWICH_FIXTURES = [
 ]
 
 ANALYTIC_INSTANCES = {
-    "jacobi-3-2": ("jacobi", AlgorithmParams("jacobi", n=3, d=1, T=2, stencil_points=3)),
-    "jacobi-3-3": ("jacobi", AlgorithmParams("jacobi", n=3, d=1, T=3, stencil_points=3)),
-    "jacobi-4-2": ("jacobi", AlgorithmParams("jacobi", n=4, d=1, T=2, stencil_points=3)),
-    "jacobi-4-3": ("jacobi", AlgorithmParams("jacobi", n=4, d=1, T=3, stencil_points=3)),
-    "matmul-1": ("matmul", AlgorithmParams("matmul", n=1)),
-    "matmul-2": ("matmul", AlgorithmParams("matmul", n=2)),
-    "cg-2-1-1": ("cg", AlgorithmParams("cg", n=2, d=1, T=1)),
-    "gmres-2-1-1": ("gmres", AlgorithmParams("gmres", n=2, d=1, m=1)),
+    "jacobi-3-2": AlgorithmParams("jacobi", n=3, d=1, T=2, stencil_points=3),
+    "jacobi-3-3": AlgorithmParams("jacobi", n=3, d=1, T=3, stencil_points=3),
+    "jacobi-4-2": AlgorithmParams("jacobi", n=4, d=1, T=2, stencil_points=3),
+    "jacobi-4-3": AlgorithmParams("jacobi", n=4, d=1, T=3, stencil_points=3),
+    "matmul-1": AlgorithmParams("matmul", n=1),
+    "matmul-2": AlgorithmParams("matmul", n=2),
+    "cg-2-1-1": AlgorithmParams("cg", n=2, d=1, T=1),
+    "gmres-2-1-1": AlgorithmParams("gmres", n=2, d=1, m=1),
 }
 
 
@@ -194,8 +194,7 @@ def test_criterion_3_sandwich_suite():
             if not mincut <= opt:
                 violations.append(f"{name} S={S}: mincut {mincut} > optimum {opt}")
             if name in ANALYTIC_INSTANCES:
-                alg, params = ANALYTIC_INSTANCES[name]
-                analytic = analytic_lb(alg, params, P=1, S=S).value
+                analytic = analytic_lb(ANALYTIC_INSTANCES[name], P=1, S=S).value
                 if not analytic <= opt:
                     violations.append(f"{name} S={S}: analytic {analytic} > optimum {opt}")
     assert combos >= 20
@@ -238,18 +237,18 @@ def test_criterion_6_balance_reproduction_pins():
     # exceeds both machines' balance ratios
     cg = AlgorithmParams("cg", n=1000, d=3, T=1)
     for machine in (bgq, crayxt5):
-        report = analyze("cg", cg, machine)
+        report = analyze(cg, machine)
         assert report.vertical.algorithm_intensity == Fraction(3, 10)
         assert report.vertical.verdict == "provably-bandwidth-bound"
 
     # Krylov-basis solver: vertical intensity is exactly 6/(m+20)
     for m in (1, 10, 100):
-        report = analyze("gmres", AlgorithmParams("gmres", n=1000, d=3, m=m), bgq)
+        report = analyze(AlgorithmParams("gmres", n=1000, d=3, m=m), bgq)
         assert report.vertical.algorithm_intensity == Fraction(6, m + 20)
 
     # ghost-cell intensity formula 6*N^(1/3)/(20n) stays below the
     # horizontal balance at scale
-    report = analyze("cg", cg, bgq)
+    report = analyze(cg, bgq)
     expected = 6 * bgq.n_nodes ** (1 / 3) / (20 * cg.n)
     assert report.horizontal_intensity_asymptotic == pytest.approx(expected, rel=1e-12)
     assert report.horizontal_intensity_asymptotic < 0.049

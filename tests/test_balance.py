@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from pebblebound import (
     AlgorithmParams,
     BoundError,
     BoundReport,
+    PebbleboundError,
     analyze,
     check_horizontal,
     check_vertical,
@@ -38,7 +40,7 @@ class TestCheckVertical:
     def test_cg_is_bandwidth_bound_on_bgq(self, bgq):
         n, T = 1000, 1
         lb_per_node = Fraction(6 * n**3 * T, bgq.n_nodes)
-        verdict = check_vertical(lower(lb_per_node), 20 * n**3 * T, bgq.n_nodes, bgq)
+        verdict = check_vertical(lower(lb_per_node), 20 * n**3 * T, bgq)
         assert verdict.algorithm_intensity == Fraction(3, 10)
         assert verdict.verdict == "provably-bandwidth-bound"
 
@@ -46,7 +48,7 @@ class TestCheckVertical:
         n, m = 1000, 100
         v = 20 * n**3 * m + n**3 * m**2
         lb_per_node = Fraction(6 * n**3 * m, bgq.n_nodes)
-        verdict = check_vertical(lower(lb_per_node), v, bgq.n_nodes, bgq)
+        verdict = check_vertical(lower(lb_per_node), v, bgq)
         assert verdict.algorithm_intensity == Fraction(6, 120)
         assert verdict.verdict == "inconclusive"  # 0.05 < 0.052
 
@@ -54,15 +56,15 @@ class TestCheckVertical:
         # intensity exactly equal to the balance proves nothing
         v_size = 1000
         lb = Fraction(bgq.vertical_balance) * v_size / bgq.n_nodes
-        verdict = check_vertical(lower(lb), v_size, bgq.n_nodes, bgq)
+        verdict = check_vertical(lower(lb), v_size, bgq)
         assert verdict.algorithm_intensity == Fraction(bgq.vertical_balance)
         assert verdict.verdict == "inconclusive"
 
     def test_rejects_upper_bounds_and_zero_work(self, bgq):
         with pytest.raises(BoundError):
-            check_vertical(upper(1), 10, 1, bgq)
+            check_vertical(upper(1), 10, bgq)
         with pytest.raises(BoundError):
-            check_vertical(lower(1), 0, 1, bgq)
+            check_vertical(lower(1), 0, bgq)
 
 
 class TestCheckHorizontal:
@@ -70,17 +72,22 @@ class TestCheckHorizontal:
         n, T = 1000, 1
         B = n / bgq.n_nodes ** (1 / 3)
         ub = BoundReport(kind="upper", value=6 * B**2 * T, method="analytic")
-        verdict = check_horizontal(ub, 20 * n**3 * T, bgq.n_nodes, bgq)
+        verdict = check_horizontal(ub, 20 * n**3 * T, bgq)
         assert verdict.verdict == "not-bandwidth-bound-achievable"
         assert verdict.algorithm_intensity < 0.049
 
     def test_zero_traffic_is_achievable(self, bgq):
-        verdict = check_horizontal(upper(0), 100, bgq.n_nodes, bgq)
+        verdict = check_horizontal(upper(0), 100, bgq)
         assert verdict.verdict == "not-bandwidth-bound-achievable"
 
     def test_rejects_lower_bounds(self, bgq):
         with pytest.raises(BoundError):
-            check_horizontal(lower(1), 10, 1, bgq)
+            check_horizontal(lower(1), 10, bgq)
+
+    def test_exact_report_is_an_upper_bound(self, bgq):
+        # an optimum is both a lower and an upper bound
+        exact = BoundReport(kind="exact", value=Fraction(1), method="bruteforce")
+        assert check_horizontal(exact, 10**6, bgq) == check_horizontal(upper(1), 10**6, bgq)
 
 
 class TestThreshold:
@@ -110,32 +117,32 @@ class TestThreshold:
 
 class TestFlopCount:
     def test_models(self):
-        assert flop_count("cg", AlgorithmParams("cg", n=10, d=3, T=2)) == 20 * 1000 * 2
-        assert flop_count("gmres", AlgorithmParams("gmres", n=10, d=3, m=3)) == 20 * 1000 * 3 + 1000 * 9
-        assert flop_count("jacobi", AlgorithmParams("jacobi", n=4, d=2, T=5)) == 9 * 16 * 5
+        assert flop_count(AlgorithmParams("cg", n=10, d=3, T=2)) == 20 * 1000 * 2
+        assert flop_count(AlgorithmParams("gmres", n=10, d=3, m=3)) == 20 * 1000 * 3 + 1000 * 9
+        assert flop_count(AlgorithmParams("jacobi", n=4, d=2, T=5)) == 9 * 16 * 5
 
     def test_unsupported_model_lists_supported(self):
         with pytest.raises(BoundError, match="supported"):
-            flop_count("cg", AlgorithmParams("cg", n=10, d=2, T=1))
+            flop_count(AlgorithmParams("cg", n=10, d=2, T=1))
 
 
 class TestAnalyze:
     def test_cg_verdict_pair_on_both_machines(self, bgq, crayxt5):
         params = AlgorithmParams("cg", n=1000, d=3, T=1)
         for machine in (bgq, crayxt5):
-            report = analyze("cg", params, machine)
+            report = analyze(params, machine)
             assert report.vertical.algorithm_intensity == Fraction(3, 10)
             assert report.vertical.verdict == "provably-bandwidth-bound"
             assert report.horizontal.verdict == "not-bandwidth-bound-achievable"
 
     def test_gmres_small_vs_large_m(self, bgq):
-        small = analyze("gmres", AlgorithmParams("gmres", n=1000, d=3, m=1), bgq)
-        large = analyze("gmres", AlgorithmParams("gmres", n=1000, d=3, m=100), bgq)
+        small = analyze(AlgorithmParams("gmres", n=1000, d=3, m=1), bgq)
+        large = analyze(AlgorithmParams("gmres", n=1000, d=3, m=100), bgq)
         assert small.vertical.verdict == "provably-bandwidth-bound"  # 6/21 > 0.052
         assert large.vertical.verdict == "inconclusive"  # 6/120 < 0.052
 
     def test_jacobi_d3_not_provably_bound_on_bgq(self, bgq):
-        report = analyze("jacobi", AlgorithmParams("jacobi", n=100, d=3, T=4), bgq)
+        report = analyze(AlgorithmParams("jacobi", n=100, d=3, T=4), bgq)
         assert report.vertical.verdict == "inconclusive"
         thresholds = dict(report.jacobi_thresholds)
         assert thresholds["main-memory"].published == pytest.approx(4.83, abs=0.01)
@@ -145,17 +152,50 @@ class TestAnalyze:
         # doubling both the bound and the work leaves the verdict unchanged
         v = 1000
         lb = Fraction(1, 2)
-        a = check_vertical(lower(lb), v, bgq.n_nodes, bgq)
-        b = check_vertical(lower(2 * lb), 2 * v, bgq.n_nodes, bgq)
+        a = check_vertical(lower(lb), v, bgq)
+        b = check_vertical(lower(2 * lb), 2 * v, bgq)
         assert a.verdict == b.verdict and a.algorithm_intensity == b.algorithm_intensity
 
     def test_verdicts_exhaustive_and_exclusive(self, bgq):
         # a lower-bound check never returns the achievability verdict and
         # vice versa, so the pair partitions the outcome space
-        v = check_vertical(lower(1), 10**6, bgq.n_nodes, bgq)
-        h = check_horizontal(upper(1), 10**6, bgq.n_nodes, bgq)
+        v = check_vertical(lower(1), 10**6, bgq)
+        h = check_horizontal(upper(1), 10**6, bgq)
         assert v.verdict in ("provably-bandwidth-bound", "inconclusive")
         assert h.verdict in ("not-bandwidth-bound-achievable", "inconclusive")
+
+
+def analysis_digest():
+    """sha256 over analyze on a family x n x d x iterations x machine sweep.
+
+    Each row renders the operation count, both intensities and verdicts and
+    the asymptotic ghost-cell intensity exactly (repr), or the error that
+    the row raises.
+    """
+    lines = []
+    for machine in (load_machine("bgq"), load_machine("crayxt5")):
+        for alg in ("cg", "gmres", "jacobi"):
+            for n in (7, 16, 64, 100, 343, 1000, 4096, 10000):
+                for d in (1, 2, 3, 4):
+                    for k in (1, 2, 10, 100):
+                        row = f"{machine.name} {alg} n={n} d={d} k={k}:"
+                        try:
+                            r = analyze(AlgorithmParams(alg, n=n, d=d, T=k, m=k), machine)
+                        except PebbleboundError as exc:
+                            lines.append(f"{row} error: {exc}")
+                            continue
+                        lines.append(
+                            f"{row} {r.v_size} {r.vertical.algorithm_intensity!r} {r.vertical.verdict}"
+                            f" {r.horizontal.algorithm_intensity!r} {r.horizontal.verdict}"
+                            f" {r.horizontal_intensity_asymptotic!r}"
+                        )
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_analysis_digest():
+    # 768 rows: 272 analyses, 112 ghost-cell errors (more nodes than blocks)
+    # and 384 operation-model errors (cg and gmres at d != 3)
+    assert analysis_digest() == (768, "17fbdab34d9ff16260084bb05b39f6a382d0d090425c44e9502beb7753cde862")
 
 
 class TestMachineLoading:

@@ -78,12 +78,12 @@ class TestSpartArithmetic:
     def test_closed_forms_non_increasing_in_s(self, n, T, s):
         # more fast memory never increases unavoidable traffic
         cg = AlgorithmParams("cg", n=n, d=1, T=T)
-        assert analytic_lb("cg", cg, S=s).value >= analytic_lb("cg", cg, S=s + 1).value
+        assert analytic_lb(cg, S=s).value >= analytic_lb(cg, S=s + 1).value
         gm = AlgorithmParams("gmres", n=n, d=1, m=T)
-        assert analytic_lb("gmres", gm, S=s).value >= analytic_lb("gmres", gm, S=s + 1).value
+        assert analytic_lb(gm, S=s).value >= analytic_lb(gm, S=s + 1).value
         if s >= 1:
             jac = AlgorithmParams("jacobi", n=max(n, 3), d=2, T=T)
-            assert analytic_lb("jacobi", jac, S=s).value >= analytic_lb("jacobi", jac, S=s + 1).value
+            assert analytic_lb(jac, S=s).value >= analytic_lb(jac, S=s + 1).value
 
 
 class TestUmaxBruteforce:
@@ -391,12 +391,12 @@ class TestMincutBounds:
 
 class TestHierarchyTransfers:
     def test_sequential_division(self):
-        seq = analytic_lb("cg", AlgorithmParams("cg", n=10, d=1, T=2), P=1, S=0)
+        seq = analytic_lb(AlgorithmParams("cg", n=10, d=1, T=2), P=1, S=0)
         rep = vertical_bound_from_sequential(seq, 4)
         assert rep.value == seq.value / 4
 
     def test_single_unit_is_identity(self):
-        seq = analytic_lb("cg", AlgorithmParams("cg", n=10, d=1, T=2), P=1, S=0)
+        seq = analytic_lb(AlgorithmParams("cg", n=10, d=1, T=2), P=1, S=0)
         assert vertical_bound_from_sequential(seq, 1).value == seq.value
 
     def test_spart_form_numbers(self):
@@ -415,46 +415,46 @@ class TestHierarchyTransfers:
 
 class TestAnalyticForms:
     def test_cg_asymptote(self):
-        rep = analytic_lb("cg", AlgorithmParams("cg", n=1000, d=3, T=1), P=1, S=0)
+        rep = analytic_lb(AlgorithmParams("cg", n=1000, d=3, T=1), P=1, S=0)
         assert rep.value == 6 * 10**9
 
     def test_jacobi_2d_form(self):
-        rep = analytic_lb("jacobi", AlgorithmParams("jacobi", n=8, d=2, T=3), P=1, S=8)
+        rep = analytic_lb(AlgorithmParams("jacobi", n=8, d=2, T=3), P=1, S=8)
         assert rep.value == Fraction(8**2 * 3, 4 * 4)  # sqrt(16) = 4 exactly
 
     def test_matmul_form(self):
-        rep = analytic_lb("matmul", AlgorithmParams("matmul", n=4), P=1, S=2)
+        rep = analytic_lb(AlgorithmParams("matmul", n=4), P=1, S=2)
         assert rep.value == Fraction(4**3, 2 * 2)  # sqrt(4) = 2
 
     def test_cg_formula_below_oracle_on_desk_instance(self):
         ann = gen_cg(2, 1, 1)
         opt = optimal_io(ann.cdag, 4).value
-        formula = analytic_lb("cg", AlgorithmParams("cg", n=2, d=1, T=1), P=1, S=4).value
+        formula = analytic_lb(AlgorithmParams("cg", n=2, d=1, T=1), P=1, S=4).value
         assert formula <= opt
 
     def test_unknown_algorithm(self):
         with pytest.raises(BoundError):
-            analytic_lb("chain", AlgorithmParams("chain", n=3))
+            analytic_lb(AlgorithmParams("chain", n=3))
 
     def test_ghost_cells_d1(self):
-        rep = analytic_horizontal_ub("cg", AlgorithmParams("cg", n=10, d=1, T=2), n_nodes=2)
+        rep = analytic_horizontal_ub(AlgorithmParams("cg", n=10, d=1, T=2), n_nodes=2)
         assert rep.value == 4  # ((5+2) - 5) * 2
 
     def test_ghost_cells_d3(self):
-        rep = analytic_horizontal_ub("cg", AlgorithmParams("cg", n=80, d=3, T=1), n_nodes=512)
+        rep = analytic_horizontal_ub(AlgorithmParams("cg", n=80, d=3, T=1), n_nodes=512)
         assert rep.value == 12**3 - 10**3  # B = 10
 
     def test_jacobi_ghost_form(self):
-        rep = analytic_horizontal_ub("jacobi", AlgorithmParams("jacobi", n=16, d=2, T=3), n_nodes=4)
+        rep = analytic_horizontal_ub(AlgorithmParams("jacobi", n=16, d=2, T=3), n_nodes=4)
         assert rep.value == 96  # 4 * 8 * 3
 
     def test_too_many_nodes(self):
         with pytest.raises(BoundError, match="more nodes"):
-            analytic_horizontal_ub("cg", AlgorithmParams("cg", n=2, d=1, T=1), n_nodes=5)
+            analytic_horizontal_ub(AlgorithmParams("cg", n=2, d=1, T=1), n_nodes=5)
 
     def test_unknown_algorithm_error_comes_before_too_many_nodes(self):
         with pytest.raises(BoundError, match="no horizontal upper bound"):
-            analytic_horizontal_ub("matmul", AlgorithmParams("matmul", n=2), n_nodes=5)
+            analytic_horizontal_ub(AlgorithmParams("matmul", n=2), n_nodes=5)
 
 
 class TestSPartitionChecker:

@@ -289,6 +289,17 @@ class TestBoundAndAnalyze:
         assert proc.returncode == 1
         assert proc.stderr == "error: line 6: expected a positive finite number, got '0.05x'\n"
 
+    @pytest.mark.parametrize("alg", ["cg", "jacobi"])
+    @pytest.mark.parametrize("cache", ["L2 -5 shared 0", "L2 0 shared 1", "L2 64 shared 0"])
+    def test_analyze_rejects_bad_cache_values(self, alg, cache, tmp_path, capsys):
+        spec = tmp_path / "bad.machine"
+        spec.write_text(f"machine 1\nname x\nnodes 1\ncores 1\nmem_words 8\ncache {cache}\nvbal 0.05\nhbal 0.05\n")
+        code, out, err = run_cli(
+            ["analyze", "--alg", alg, "--n", "4", "--d", "3", "--machine", str(spec), "--kv"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: cache capacity and sharing degree must be >= 1\n"
+
     def test_kv_output_is_deterministic(self, jacobi_files, capsys):
         cdag, _, _ = jacobi_files
         _, out1, _ = run_cli(["oracle", "--cdag", str(cdag), "--S", "4", "--kv"], capsys)
