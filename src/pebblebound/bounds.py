@@ -15,12 +15,15 @@ Four families live here:
 * closed forms for the generated algorithm families (:func:`analytic_lb`,
   :func:`analytic_horizontal_ub`).
 
-All values are exact Fractions except where a d-th root forces a float.
-Every lower bound clamps at zero.
+All values are exact Fractions except where a d-th root forces a float;
+a closed form whose float arithmetic leaves the float range raises
+BoundError.  Every lower bound clamps at zero.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -640,6 +643,25 @@ def horizontal_bound_spart(v_size: int, umax_2sl: int, s_l: int, p_i: int) -> Bo
 # ---------------------------------------------------------------------------
 
 
+def _in_float_range(closed_form):
+    """Raise BoundError when a closed form's float arithmetic leaves the float range."""
+
+    @functools.wraps(closed_form)
+    def checked(params: AlgorithmParams, *args, **kwargs) -> BoundReport:
+        try:
+            report = closed_form(params, *args, **kwargs)
+        except OverflowError:
+            report = None
+        if report is None or any(
+            isinstance(x, float) and not math.isfinite(x) for x in (report.value, *report.params.values())
+        ):
+            raise BoundError(f"the analytic {params.algorithm} bound leaves the float range")
+        return report
+
+    return checked
+
+
+@_in_float_range
 def analytic_lb(params: AlgorithmParams, P: int = 1, S: int = 0) -> BoundReport:
     """Closed-form lower bound for the family named by ``params.algorithm``.
 
@@ -696,6 +718,7 @@ def _real_root(base: int, d: int):
     return base ** (1.0 / d)
 
 
+@_in_float_range
 def analytic_horizontal_ub(params: AlgorithmParams, n_nodes: int) -> BoundReport:
     """Ghost-cell upper bound on per-node horizontal traffic for ``params.algorithm``.
 

@@ -33,6 +33,16 @@ def _int(tok: str, lineno: int, what: str = "integer") -> int:
         raise FormatError(f"line {lineno}: expected {what}, got {tok!r}") from None
 
 
+def _positive_int(tok: str, lineno: int) -> int:
+    try:
+        value = int(tok)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise FormatError(f"line {lineno}: expected a positive integer, got {tok!r}")
+    return value
+
+
 def _positive_float(tok: str, lineno: int) -> float:
     try:
         value = float(tok)
@@ -355,11 +365,11 @@ def parse_machine(text: str):
         if key == "name" and len(toks) == 2:
             fields["name"] = toks[1]
         elif key == "nodes" and len(toks) == 2:
-            fields["n_nodes"] = _int(toks[1], lineno)
+            fields["n_nodes"] = _positive_int(toks[1], lineno)
         elif key == "cores" and len(toks) == 2:
-            fields["n_cores"] = _int(toks[1], lineno)
+            fields["n_cores"] = _positive_int(toks[1], lineno)
         elif key == "mem_words" and len(toks) == 2:
-            fields["mem_words"] = _int(toks[1], lineno)
+            fields["mem_words"] = _positive_int(toks[1], lineno)
         elif key == "cache" and len(toks) in (5, 7) and toks[3] == "shared":
             balance = None
             if len(toks) == 7:
@@ -369,8 +379,8 @@ def parse_machine(text: str):
             fields["caches"].append(
                 CacheLevel(
                     name=toks[1],
-                    capacity_words=_int(toks[2], lineno),
-                    shared_by=_int(toks[4], lineno),
+                    capacity_words=_positive_int(toks[2], lineno),
+                    shared_by=_positive_int(toks[4], lineno),
                     balance=balance,
                 )
             )

@@ -3,7 +3,9 @@
 Every generator returns an :class:`AnnotatedCdag`: the graph itself plus
 slab annotations (per outer iteration or per pipeline stage), the frontier
 vertices shared between consecutive slabs, and the scalar anchor vertices
-that drive wavefront analyses.
+that drive wavefront analyses.  The builder records the annotations while
+the vertices are added: a generator closes each slab as it finishes
+emitting it and appends anchors as it creates them.
 
 Modeling conventions, shared by the Krylov generators:
 
@@ -74,13 +76,16 @@ class AnnotatedCdag:
 
 
 class _Builder:
-    """Incremental CDAG assembly with dense ids and mandatory labels."""
+    """Incremental CDAG assembly with dense ids, mandatory labels and annotations."""
 
     def __init__(self):
         self.labels: dict[int, str] = {}
         self.edges: list[tuple[int, int]] = []
         self.inputs: set[int] = set()
         self.outputs: set[int] = set()
+        self.slabs: dict[str, frozenset[int]] = {}
+        self.frontiers: dict[tuple[str, str], frozenset[int]] = {}
+        self.anchors: list[int] = []
         self._next = 0
 
     def add(self, label: str, preds: Iterable[int] = (), is_input: bool = False) -> int:
@@ -93,32 +98,35 @@ class _Builder:
             self.edges.append((p, v))
         return v
 
-    def mark_output(self, v: int) -> None:
-        self.outputs.add(v)
-
-    def reduce(self, leaves: list[int], root_label: str) -> tuple[int, list[int]]:
-        """Left-leaning binary reduction; returns (root, new add vertices).
+    def reduce(self, leaves: list[int], root_label: str) -> int:
+        """Left-leaning binary reduction of a nonempty leaf list; returns the root.
 
         A single leaf is its own root and creates no vertices.
         """
-        if not leaves:
-            raise CdagError("cannot reduce an empty leaf list")
         acc = leaves[0]
-        added = []
         for i, leaf in enumerate(leaves[1:], start=1):
             label = root_label if i == len(leaves) - 1 else f"{root_label}.{i}"
             acc = self.add(label, preds=(acc, leaf))
-            added.append(acc)
-        return acc, added
+        return acc
 
-    def finish(self) -> Cdag:
-        return Cdag.build(
-            vertices=range(self._next),
+    def slab(self, name: str, start: int, shared: frozenset[int] = frozenset(), after: Optional[str] = None) -> None:
+        """Close slab ``name``: the vertices added since ``start`` plus ``shared``.
+
+        ``shared`` is also the slab's frontier with the earlier slab ``after``.
+        """
+        self.slabs[name] = frozenset(itertools.chain(range(start, self._next), shared))
+        if after is not None:
+            self.frontiers[(after, name)] = shared
+
+    def finish(self) -> AnnotatedCdag:
+        cdag = Cdag.build(
+            vertices=self.labels,  # the ids 0.._next-1, as the int objects the edges already hold
             edges=self.edges,
             inputs=self.inputs,
             outputs=self.outputs,
             labels=self.labels,
         )
+        return AnnotatedCdag(cdag, self.slabs, self.frontiers, tuple(self.anchors))
 
 
 def _grid_points(n: int, d: int) -> list[tuple[int, ...]]:
@@ -136,7 +144,7 @@ def _stencil_offsets(d: int, stencil_points: int) -> list[tuple[int, ...]]:
         return offsets
     if stencil_points == 3**d:
         return list(itertools.product((-1, 0, 1), repeat=d))
-    raise CdagError(f"stencil_points must be 2d+1 or 3^d, got {stencil_points}")
+    raise CdagError(f"stencil_points must be one of {sorted({2 * d + 1, 3**d})} for d={d}, got {stencil_points}")
 
 
 def _neighbors(point: tuple[int, ...], n: int, offsets) -> list[tuple[int, ...]]:
@@ -165,9 +173,9 @@ def gen_chain(k: int) -> AnnotatedCdag:
     prev = b.add("c[0]", is_input=True)
     for i in range(1, k):
         prev = b.add(f"c[{i}]", preds=(prev,))
-    b.mark_output(prev)
-    cdag = b.finish()
-    return AnnotatedCdag(cdag, slabs={"chain": cdag.vertices - cdag.inputs})
+    b.outputs.add(prev)
+    b.slab("chain", 1)  # every vertex but the input c[0]
+    return b.finish()
 
 
 def gen_outer_product(N: int) -> AnnotatedCdag:
@@ -177,17 +185,15 @@ def gen_outer_product(N: int) -> AnnotatedCdag:
     b = _Builder()
     p = [b.add(f"p[{i}]", is_input=True) for i in range(N)]
     q = [b.add(f"q[{j}]", is_input=True) for j in range(N)]
-    prods = []
+    start = b._next
     for i in range(N):
         for j in range(N):
-            v = b.add(f"pq[{i},{j}]", preds=(p[i], q[j]))
-            b.mark_output(v)
-            prods.append(v)
-    cdag = b.finish()
-    return AnnotatedCdag(cdag, slabs={"products": frozenset(prods)})
+            b.outputs.add(b.add(f"pq[{i},{j}]", preds=(p[i], q[j])))
+    b.slab("products", start)
+    return b.finish()
 
 
-def _emit_matmul(b: _Builder, A, B, N: int, out_prefix: str = "C"):
+def _emit_matmul(b: _Builder, A, B, N: int):
     """N^3 multiplies plus per-(i,j) accumulation chains; returns C grid."""
     C = {}
     for i in range(N):
@@ -195,7 +201,7 @@ def _emit_matmul(b: _Builder, A, B, N: int, out_prefix: str = "C"):
             terms = [b.add(f"m[{i},{k},{j}]", preds=(A[i, k], B[k, j])) for k in range(N)]
             acc = terms[0]
             for k in range(1, N):
-                label = f"{out_prefix}[{i},{j}]" if k == N - 1 else f"acc[{i},{j},{k}]"
+                label = f"C[{i},{j}]" if k == N - 1 else f"acc[{i},{j},{k}]"
                 acc = b.add(label, preds=(acc, terms[k]))
             C[i, j] = acc
     return C
@@ -213,16 +219,14 @@ def gen_matmul(N: int) -> AnnotatedCdag:
     A = {(i, k): b.add(f"A[{i},{k}]", is_input=True) for i in range(N) for k in range(N)}
     B = {(k, j): b.add(f"B[{k},{j}]", is_input=True) for k in range(N) for j in range(N)}
     first_compute = b._next
-    C = _emit_matmul(b, A, B, N)
-    for v in C.values():
-        b.mark_output(v)
-    cdag = b.finish()
+    b.outputs.update(_emit_matmul(b, A, B, N).values())
+    # multiplies and accumulations interleave, so neither is a run of ids
     computed = frozenset(range(first_compute, b._next))
     mults = frozenset(v for v in computed if b.labels[v].startswith("m["))
-    slabs = {"mults": mults}
+    b.slabs["mults"] = mults
     if computed - mults:
-        slabs["accs"] = computed - mults
-    return AnnotatedCdag(cdag, slabs=slabs)
+        b.slabs["accs"] = computed - mults
+    return b.finish()
 
 
 def gen_composite(N: int) -> AnnotatedCdag:
@@ -240,29 +244,21 @@ def gen_composite(N: int) -> AnnotatedCdag:
     q = [b.add(f"q[{i}]", is_input=True) for i in range(N)]
     r = [b.add(f"r[{i}]", is_input=True) for i in range(N)]
     s = [b.add(f"s[{i}]", is_input=True) for i in range(N)]
-    A = {}
-    for i in range(N):
-        for j in range(N):
-            A[i, j] = b.add(f"A[{i},{j}]", preds=(p[i], q[j]))
-    B = {}
-    for i in range(N):
-        for j in range(N):
-            B[i, j] = b.add(f"B[{i},{j}]", preds=(r[i], s[j]))
-    mat_start = b._next
+    start = b._next
+    A = {(i, j): b.add(f"A[{i},{j}]", preds=(p[i], q[j])) for i in range(N) for j in range(N)}
+    b.slab("outer_A", start)
+    start = b._next
+    B = {(i, j): b.add(f"B[{i},{j}]", preds=(r[i], s[j])) for i in range(N) for j in range(N)}
+    b.slab("outer_B", start)
+    start = b._next
     C = _emit_matmul(b, A, B, N)
-    mat_end = b._next
+    b.slab("matmul", start)
+    start = b._next
     leaves = [C[i, j] for i in range(N) for j in range(N)]
-    root, tree = b.reduce(leaves, "sum")
-    b.mark_output(root)
-    cdag = b.finish()
-    slabs = {
-        "outer_A": frozenset(A.values()),
-        "outer_B": frozenset(B.values()),
-        "matmul": frozenset(range(mat_start, mat_end)),
-    }
-    if tree:
-        slabs["reduce"] = frozenset(tree)
-    return AnnotatedCdag(cdag, slabs=slabs)
+    b.outputs.add(b.reduce(leaves, "sum"))
+    if N > 1:  # a single leaf is its own sum
+        b.slab("reduce", start)
+    return b.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +300,8 @@ def gen_cg(n: int, d: int, T: int) -> AnnotatedCdag:
     p_prev = [b.add(s, is_input=True) for s in vec("p", 0)]
     rr_prev = b.add("rr0", is_input=True)
 
-    slabs: dict[str, frozenset[int]] = {}
-    frontiers: dict[tuple[str, str], frozenset[int]] = {}
-    anchors: list[int] = []
     for it in range(1, T + 1):
         start = b._next
-        carried = set(x_prev) | set(r_prev) | set(p_prev) | {rr_prev}
         v = [
             b.add(
                 f"v{it}[{','.join(map(str, pt))}]",
@@ -318,9 +310,9 @@ def gen_cg(n: int, d: int, T: int) -> AnnotatedCdag:
             for pt in points
         ]
         mpv = [b.add(f"mpv{it}[{k}]", preds=(p_prev[k], v[k])) for k in range(len(points))]
-        spv, _ = b.reduce(mpv, f"spv{it}")
+        spv = b.reduce(mpv, f"spv{it}")
         a = b.add(f"a{it}", preds=(rr_prev, spv))
-        anchors.append(a)
+        b.anchors.append(a)
         x_new = [
             b.add(s, preds=(x_prev[k], a, p_prev[k])) for k, s in enumerate(vec("x", it))
         ]
@@ -328,25 +320,19 @@ def gen_cg(n: int, d: int, T: int) -> AnnotatedCdag:
             b.add(s, preds=(r_prev[k], a, v[k])) for k, s in enumerate(vec("r", it))
         ]
         mrn = [b.add(f"mrn{it}[{k}]", preds=(r_new[k],)) for k in range(len(points))]
-        srn, _ = b.reduce(mrn, f"srn{it}")
+        srn = b.reduce(mrn, f"srn{it}")
         g = b.add(f"g{it}", preds=(srn, a))
-        anchors.append(g)
+        b.anchors.append(g)
         p_new = [b.add(s, preds=(r_new[k], g)) for k, s in enumerate(vec("p", it))]
 
-        computed = frozenset(range(start, b._next))
-        name = f"iter{it}"
         if it == 1:
-            slabs[name] = computed
+            b.slab("iter1", start)
         else:
-            shared = frozenset(carried)
-            slabs[name] = computed | shared
-            frontiers[(f"iter{it - 1}", name)] = shared
+            b.slab(f"iter{it}", start, frozenset((*x_prev, *r_prev, *p_prev, rr_prev)), after=f"iter{it - 1}")
         x_prev, r_prev, p_prev, rr_prev = x_new, r_new, p_new, srn
 
-    for v in x_prev:
-        b.mark_output(v)
-    cdag = b.finish()
-    return AnnotatedCdag(cdag, slabs=slabs, frontier_vertices=frontiers, wavefront_anchors=tuple(anchors))
+    b.outputs.update(x_prev)
+    return b.finish()
 
 
 def gen_gmres(n: int, d: int, m: int) -> AnnotatedCdag:
@@ -373,9 +359,6 @@ def gen_gmres(n: int, d: int, m: int) -> AnnotatedCdag:
     basis = [[b.add(f"v0[{k}]", is_input=True) for k in range(npts)]]
     beta = b.add("beta", is_input=True)
 
-    slabs: dict[str, frozenset[int]] = {}
-    frontiers: dict[tuple[str, str], frozenset[int]] = {}
-    anchors: list[int] = []
     gv_prev = beta
     for it in range(1, m + 1):
         start = b._next
@@ -390,8 +373,7 @@ def gen_gmres(n: int, d: int, m: int) -> AnnotatedCdag:
         h_roots = []
         for j in range(it):
             mh = [b.add(f"mh[{j},{it}][{k}]", preds=(w[k], basis[j][k])) for k in range(npts)]
-            root, _ = b.reduce(mh, f"h[{j},{it}]")
-            h_roots.append(root)
+            h_roots.append(b.reduce(mh, f"h[{j},{it}]"))
         chain = list(w)
         for j in range(it):
             last = j == it - 1
@@ -404,19 +386,14 @@ def gen_gmres(n: int, d: int, m: int) -> AnnotatedCdag:
             ]
         vp = chain
         mn = [b.add(f"mn{it}[{k}]", preds=(vp[k],)) for k in range(npts)]
-        nrm, _ = b.reduce(mn, f"nrm{it}")
+        nrm = b.reduce(mn, f"nrm{it}")
         v_new = [b.add(f"v{it}[{k}]", preds=(vp[k], nrm)) for k in range(npts)]
         gv = b.add(f"gv{it}", preds=(gv_prev, h_roots[-1], nrm))
-        anchors.extend((h_roots[-1], nrm))
-
-        computed = frozenset(range(start, b._next))
-        name = f"iter{it}"
+        b.anchors.extend((h_roots[-1], nrm))
         if it == 1:
-            slabs[name] = computed
+            b.slab("iter1", start)
         else:
-            shared = frozenset(basis[-1]) | {gv_prev}
-            slabs[name] = computed | shared
-            frontiers[(f"iter{it - 1}", name)] = shared
+            b.slab(f"iter{it}", start, frozenset((*basis[-1], gv_prev)), after=f"iter{it - 1}")
         basis.append(v_new)
         gv_prev = gv
 
@@ -425,11 +402,9 @@ def gen_gmres(n: int, d: int, m: int) -> AnnotatedCdag:
     xf = x0
     for j in range(m):
         xf = [b.add(f"xf{j}[{k}]", preds=(xf[k], y[j])) for k in range(npts)]
-    for v in xf:
-        b.mark_output(v)
-    slabs["final"] = frozenset(range(start, b._next))
-    cdag = b.finish()
-    return AnnotatedCdag(cdag, slabs=slabs, frontier_vertices=frontiers, wavefront_anchors=tuple(anchors))
+    b.outputs.update(xf)
+    b.slab("final", start)
+    return b.finish()
 
 
 def gen_jacobi(n: int, d: int, T: int, stencil_points: Optional[int] = None) -> AnnotatedCdag:
@@ -445,15 +420,12 @@ def gen_jacobi(n: int, d: int, T: int, stencil_points: Optional[int] = None) -> 
         raise CdagError("gen_jacobi requires n >= 3, d >= 1, T >= 2")
     if stencil_points is None:
         stencil_points = 3**d
-    allowed = {2 * d + 1, 3**d}
-    if stencil_points not in allowed:
-        raise CdagError(f"stencil_points must be one of {sorted(allowed)} for d={d}")
+    offsets = _stencil_offsets(d, stencil_points)
     b = _Builder()
     points = _grid_points(n, d)
-    offsets = _stencil_offsets(d, stencil_points)
-    slabs: dict[str, frozenset[int]] = {}
     prev: dict[tuple[int, ...], int] = {}
     for t in range(T):
+        start = b._next
         layer = {}
         for pt in points:
             name = f"u{t}[{','.join(map(str, pt))}]"
@@ -461,12 +433,10 @@ def gen_jacobi(n: int, d: int, T: int, stencil_points: Optional[int] = None) -> 
                 layer[pt] = b.add(name, is_input=True)
             else:
                 layer[pt] = b.add(name, preds=tuple(prev[nb] for nb in _neighbors(pt, n, offsets)))
-        slabs[f"t{t}"] = frozenset(layer.values())
+        b.slab(f"t{t}", start)
         prev = layer
-    for v in prev.values():
-        b.mark_output(v)
-    cdag = b.finish()
-    return AnnotatedCdag(cdag, slabs=slabs)
+    b.outputs.update(prev.values())
+    return b.finish()
 
 
 def generate(params: AlgorithmParams) -> AnnotatedCdag:

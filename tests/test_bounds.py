@@ -448,6 +448,22 @@ class TestAnalyticForms:
         rep = analytic_horizontal_ub(AlgorithmParams("jacobi", n=16, d=2, T=3), n_nodes=4)
         assert rep.value == 96  # 4 * 8 * 3
 
+    def test_lower_bound_outside_float_range(self):
+        with pytest.raises(BoundError, match="leaves the float range"):
+            analytic_lb(AlgorithmParams("jacobi", n=1000, d=200, T=1), P=1, S=4)
+
+    @pytest.mark.parametrize(
+        "params,n_nodes",
+        [
+            (AlgorithmParams("jacobi", n=1000, d=120, T=1), 2048),  # (B + 2)^d raises OverflowError
+            (AlgorithmParams("jacobi", n=10**200, d=2, T=10**200), 2),  # 4*B*T turns into inf
+        ],
+        ids=["overflow", "inf"],
+    )
+    def test_horizontal_bound_outside_float_range(self, params, n_nodes):
+        with pytest.raises(BoundError, match="leaves the float range"):
+            analytic_horizontal_ub(params, n_nodes)
+
     def test_too_many_nodes(self):
         with pytest.raises(BoundError, match="more nodes"):
             analytic_horizontal_ub(AlgorithmParams("cg", n=2, d=1, T=1), n_nodes=5)

@@ -161,6 +161,21 @@ class TestBoundAndAnalyze:
         assert kv["bound.value"] == "5999995904"
         assert "6*n^d*T/P" in kv["bound.asymptotic"]
 
+    @pytest.mark.parametrize(
+        "args,alg",
+        [
+            (["bound", "--method", "analytic", "--alg", "jacobi", "--n", "1000", "--d", "200", "--T", "1",
+              "--S", "4"], "jacobi"),
+            (["bound", "--method", "analytic", "--alg", "matmul", "--n", str(10**110), "--S", "3"], "matmul"),
+            (["analyze", "--alg", "jacobi", "--n", "1000", "--d", "200", "--T", "1", "--machine", "bgq"], "jacobi"),
+        ],
+        ids=["bound-jacobi", "bound-matmul", "analyze-jacobi"],
+    )
+    def test_closed_form_outside_float_range_is_one_error_line(self, args, alg, capsys):
+        code, out, err = run_cli(args + ["--kv"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: the analytic {alg} bound leaves the float range\n"
+
     def test_spart_bound_with_bruteforced_umax(self, jacobi_files, capsys):
         cdag, _, _ = jacobi_files
         code, out, _ = run_cli(
@@ -290,15 +305,27 @@ class TestBoundAndAnalyze:
         assert proc.stderr == "error: line 6: expected a positive finite number, got '0.05x'\n"
 
     @pytest.mark.parametrize("alg", ["cg", "jacobi"])
-    @pytest.mark.parametrize("cache", ["L2 -5 shared 0", "L2 0 shared 1", "L2 64 shared 0"])
-    def test_analyze_rejects_bad_cache_values(self, alg, cache, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "lineno,record,bad",
+        [
+            pytest.param(6, "cache L2 -5 shared 0", "-5", id="L2 -5 shared 0"),
+            pytest.param(6, "cache L2 0 shared 1", "0", id="L2 0 shared 1"),
+            pytest.param(6, "cache L2 64 shared 0", "0", id="L2 64 shared 0"),
+            pytest.param(3, "nodes 0", "0", id="nodes 0"),
+            pytest.param(4, "cores -1", "-1", id="cores -1"),
+            pytest.param(5, "mem_words 0", "0", id="mem_words 0"),
+        ],
+    )
+    def test_analyze_rejects_bad_cache_values(self, alg, lineno, record, bad, tmp_path, capsys):
+        lines = ["machine 1", "name x", "nodes 1", "cores 1", "mem_words 8", "cache L2 64 shared 1", "vbal 0.05", "hbal 0.05"]
+        lines[lineno - 1] = record
         spec = tmp_path / "bad.machine"
-        spec.write_text(f"machine 1\nname x\nnodes 1\ncores 1\nmem_words 8\ncache {cache}\nvbal 0.05\nhbal 0.05\n")
+        spec.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(
             ["analyze", "--alg", alg, "--n", "4", "--d", "3", "--machine", str(spec), "--kv"], capsys
         )
         assert (code, out) == (1, "")
-        assert err == "error: cache capacity and sharing degree must be >= 1\n"
+        assert err == f"error: line {lineno}: expected a positive integer, got '{bad}'\n"
 
     def test_kv_output_is_deterministic(self, jacobi_files, capsys):
         cdag, _, _ = jacobi_files

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pebblebound import (
@@ -12,6 +14,7 @@ from pebblebound import (
     gen_outer_product,
     generate,
 )
+from pebblebound.formats import Annotations, format_annotations, format_cdag
 
 ALL_SMALL = [
     gen_chain(5),
@@ -225,6 +228,13 @@ class TestJacobi:
         with pytest.raises(CdagError, match="stencil_points"):
             gen_jacobi(3, 2, 2, 7)
 
+    def test_stencil_points_error_matches_params_check(self):
+        with pytest.raises(CdagError) as direct:
+            gen_jacobi(3, 2, 2, 7)
+        with pytest.raises(CdagError) as params:
+            AlgorithmParams("jacobi", d=2, stencil_points=7)
+        assert str(direct.value) == str(params.value) == "stencil_points must be one of [5, 9] for d=2, got 7"
+
 
 class TestParamsAndDispatch:
     def test_dispatch_matches_direct_calls(self):
@@ -239,3 +249,43 @@ class TestParamsAndDispatch:
             AlgorithmParams("jacobi", d=2, stencil_points=7)
         with pytest.raises(CdagError):
             AlgorithmParams("quicksort")
+
+
+def _digest_sweep():
+    for n in (1, 2, 5, 5000):
+        yield AlgorithmParams("chain", n=n)
+    for alg in ("outer_product", "matmul", "composite"):
+        for n in (1, 2, 3):
+            yield AlgorithmParams(alg, n=n)
+    for n, d, T in ((2, 1, 1), (3, 1, 3), (2, 2, 2), (3, 3, 1), (32, 2, 1)):
+        yield AlgorithmParams("cg", n=n, d=d, T=T)
+    for n, d, m in ((2, 1, 1), (3, 1, 3), (2, 2, 2), (3, 2, 2)):
+        yield AlgorithmParams("gmres", n=n, d=d, m=m)
+    for d in (1, 2, 3):
+        for n, T in ((3, 2), (4, 3)):
+            for points in (None, 2 * d + 1, 3**d):
+                yield AlgorithmParams("jacobi", n=n, d=d, T=T, stencil_points=points)
+
+
+def generator_digest():
+    """sha256 over generate on a fixed sweep of every family.
+
+    Each instance contributes its CDAG text and its annotations: slabs and
+    frontiers in insertion order (the sidecar keeps that order, and
+    mincut-divide keeps a vertex in the first slab that lists it), then the
+    anchors in order.
+    """
+    h = hashlib.sha256()
+    count = 0
+    for params in _digest_sweep():
+        ann = generate(params)
+        sidecar = Annotations(ann.slabs, ann.frontier_vertices, ann.wavefront_anchors)
+        h.update(f"{params}\n{format_cdag(ann.cdag)}{format_annotations(sidecar)}".encode())
+        count += 1
+    return count, h.hexdigest()
+
+
+def test_generator_digest():
+    # 40 instances: chain up to 5000 vertices, cg-32-2-1 (11,265 vertices),
+    # and every jacobi stencil size for d = 1, 2, 3
+    assert generator_digest() == (40, "7f46c2fee935e0ba41405c7ce390dd7c4c6b91e5ff45c463bd5f45f3be00610b")
