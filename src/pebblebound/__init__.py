@@ -59,12 +59,18 @@ from .bounds import (
     mincut_lower_bound,
     spart_lower_bound,
     umax_bruteforce,
-    vertical_bound_from_sequential,
     vertical_bound_spart,
     wavefront_min,
     wmax,
 )
-from .reports import BoundReport, as_lower, compose_decomposition, transfer_bound
+from .reports import (
+    BoundReport,
+    as_lower,
+    compose_decomposition,
+    compose_split,
+    transfer_bound,
+    vertical_bound_from_sequential,
+)
 from .balance import (
     AnalysisReport,
     BalanceVerdict,

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .bounds import analytic_horizontal_ub, analytic_lb, vertical_bound_from_sequential
+from .bounds import analytic_horizontal_ub, analytic_lb
 from .errors import BoundError
 from .generators import AlgorithmParams
-from .reports import BoundReport
+from .reports import BoundReport, vertical_bound_from_sequential
 
 Number = Union[Fraction, float]
 

@@ -10,14 +10,15 @@ Four families live here:
   least the vertex min-cut separating its ancestry from its descendants
   (:func:`wavefront_min`, :func:`wmax`, :func:`mincut_lower_bound`,
   :func:`mincut_divide_bound`);
-* hierarchy/machine-shape transfers (:func:`vertical_bound_from_sequential`,
-  :func:`vertical_bound_spart`, :func:`horizontal_bound_spart`);
+* per-unit hierarchy bounds (:func:`vertical_bound_spart`,
+  :func:`horizontal_bound_spart`);
 * closed forms for the generated algorithm families (:func:`analytic_lb`,
   :func:`analytic_horizontal_ub`).
 
 All values are exact Fractions except where a d-th root forces a float;
 a closed form whose float arithmetic leaves the float range raises
-BoundError.  Every lower bound clamps at zero.
+BoundError.  Every lower bound clamps at zero.  The rules that carry a
+bound from sub-CDAGs or across hierarchy units live in :mod:`.reports`.
 """
 
 from __future__ import annotations
@@ -564,31 +565,8 @@ def mincut_divide_bound(
 
 
 # ---------------------------------------------------------------------------
-# hierarchy transfers
+# hierarchy bounds
 # ---------------------------------------------------------------------------
-
-
-def vertical_bound_from_sequential(seq_lb: BoundReport, n_units: int) -> BoundReport:
-    """Per-unit traffic at a level with n_units units: sequential bound / n_units.
-
-    The unit with maximum traffic moves at least a 1/n_units share of the
-    single-processor bound computed at the level's aggregate capacity.
-    The exact rational is kept (no integer floor) so machine-balance
-    intensities stay exact.
-    """
-    if seq_lb.kind not in ("lower", "exact"):
-        raise BoundError("vertical transfer needs a lower bound")
-    if n_units < 1:
-        raise BoundError("unit count must be >= 1")
-    value = seq_lb.value / n_units if isinstance(seq_lb.value, float) else Fraction(seq_lb.value) / n_units
-    return BoundReport(
-        kind="lower",
-        value=nonneg(value),
-        method="transfer",
-        symbolic=(seq_lb.symbolic + f" / {n_units}") if seq_lb.symbolic else None,
-        params=dict(seq_lb.params, n_units=n_units),
-        provenance=seq_lb.provenance + (f"vertical: divide by {n_units} units, max-traffic unit",),
-    )
 
 
 def vertical_bound_spart(
@@ -739,20 +717,18 @@ def analytic_horizontal_ub(params: AlgorithmParams, n_nodes: int) -> BoundReport
         raise BoundError("more nodes than grid blocks: block extent < 1")
     leading = float(2 * d * B ** (d - 1) * iters)
     if algorithm == "jacobi" and d == 2:
-        value = 4 * B * T
         return BoundReport(
             kind="upper",
-            value=value if isinstance(value, Fraction) else float(value),
+            value=4 * B * T,
             method="analytic",
             symbolic="4*B*T, B = n/n_nodes^(1/2)",
             params={"n": n, "d": d, "T": T, "n_nodes": n_nodes,
                     "B": float(B), "ghost": float(4 * B), "leading": leading},
         )
     ghost = (B + 2) ** d - B**d
-    value = ghost * iters
     return BoundReport(
         kind="upper",
-        value=value if isinstance(value, Fraction) else float(value),
+        value=ghost * iters,
         method="analytic",
         symbolic="((B+2)^d - B^d) * iters, B = n/n_nodes^(1/d)",
         asymptotic=f"O(2*d*B^(d-1)*iters) = {leading:.6g}",

@@ -10,18 +10,18 @@ supported:
   vertices that fire for free, untagged sinks need no final store.
 
 Instances are immutable; every operation here is a pure function of its
-arguments.
+arguments.  This module computes no bounds: the rules that carry a bound
+across the surgeries and splits made here live in :mod:`.reports`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Optional
 
 from .errors import CdagError
-from .reports import BoundReport, as_lower
 
 VertexId = int
 Edge = tuple[int, int]
@@ -321,25 +321,13 @@ class NondisjointSplit:
     is: the I/O optimum of the whole at capacity S is at least the optimum
     of ``first`` at capacity S+1 plus the optimum of ``second`` at S --
     one extra pebble is dedicated to parking x for the first part.
+    :func:`pebblebound.reports.compose_split` applies it.
     """
 
     anchor: int
     first: Cdag
     second: Cdag
     rule: ClassVar[str] = "IO_S(C) >= IO_{S+1}(C1) + IO_S(C2)"
-
-    def compose(self, first_lb, second_lb):
-        """Sum lower bounds for the two parts per the rule above."""
-        lb1 = as_lower(first_lb)
-        lb2 = as_lower(second_lb)
-        return BoundReport(
-            kind="lower",
-            value=lb1.value + lb2.value,
-            method="transfer",
-            provenance=lb1.provenance
-            + lb2.provenance
-            + (f"nondisjoint-split at {self.anchor}: {self.rule}",),
-        )
 
 
 def nondisjoint_decompose(cdag: Cdag, x: int, dx: Iterable[int]) -> NondisjointSplit:

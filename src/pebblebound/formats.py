@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from .cdag import Cdag
 from .errors import CdagError, FormatError
@@ -165,6 +164,8 @@ def parse_annotations(text: str) -> Annotations:
             if len(toks) < 3:
                 raise FormatError(f"line {lineno}: frontier line needs two slab names")
             key = (toks[1], toks[2])
+            if key in ann.frontiers:
+                raise FormatError(f"line {lineno}: frontier {key[0]!r} {key[1]!r} declared twice")
             ann.frontiers[key] = frozenset(_int(t, lineno) for t in toks[3:])
         elif toks[0] == "anchor":
             if len(toks) != 2:

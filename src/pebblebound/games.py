@@ -59,8 +59,9 @@ class PrbwMove:
     """One move of the hierarchical game.
 
     ``level``/``unit`` locate the pebble being placed or removed.
-    ``src_unit`` names the counterpart: the source unit of a RemoteGet, or
-    the child unit of a MoveDown when several children hold the value.
+    ``src_unit`` is the source unit of a RemoteGet: every RemoteGet names
+    one and no other move does.  A MoveDown copies from the lowest-id child
+    that holds the value, since its trace line names no child.
     """
 
     kind: str
@@ -72,6 +73,10 @@ class PrbwMove:
     def __post_init__(self):
         if self.kind not in PRBW_RULE:
             raise GameError(f"unknown move kind {self.kind!r}")
+        if (self.src_unit is None) == (self.kind == "RemoteGet"):
+            if self.src_unit is None:
+                raise GameError("a RemoteGet needs a source unit")
+            raise GameError(f"only a RemoteGet names a source unit, not a {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -337,8 +342,6 @@ class PrbwGame:
             self.tally.stores += 1
         elif move.kind == "RemoteGet":
             src, dst = move.src_unit, move.unit
-            if src is None:
-                raise GameError("remote-get needs a source unit", vertex=v)
             self._check_unit(self.L, src)
             self._check_unit(self.L, dst)
             if src == dst:
@@ -365,18 +368,10 @@ class PrbwGame:
             if not 2 <= level <= self.L:
                 raise GameError("move toward memory needs level >= 2")
             self._check_unit(level, unit)
-            children = self.cfg.children(level, unit)
-            holders = [c for c in children if v in self._held(level - 1, c)]
-            if move.src_unit is not None:
-                if move.src_unit not in children:
-                    raise GameError(f"unit {move.src_unit} is not a child of level {level} unit {unit}", vertex=v)
-                if v not in self._held(level - 1, move.src_unit):
-                    raise GameError(f"child unit {move.src_unit} holds no pebble", vertex=v)
-                child = move.src_unit
-            elif holders:
-                child = holders[0]
-            else:
+            holders = [c for c in self.cfg.children(level, unit) if v in self._held(level - 1, c)]
+            if not holders:
                 raise GameError(f"no child of level {level} unit {unit} holds a pebble", vertex=v)
+            child = holders[0]
             self._place(v, level, unit)
             key = (level - 1, child)
             self.tally.vertical_up[key] = self.tally.vertical_up.get(key, 0) + 1

@@ -1,9 +1,14 @@
-"""Bound reports and the transfer rules that move them between CDAGs.
+"""Bound reports and the rules that carry lower bounds between CDAGs.
 
 Every engine in the package reports its result as a :class:`BoundReport`:
 a direction (lower/upper/exact), an exact value (Fraction where the
 arithmetic permits, float where roots are involved), the method that
 produced it, and a provenance trail of any transfer steps applied.
+
+Every rule that carries a lower bound to another CDAG lives here --
+:func:`transfer_bound`, :func:`compose_decomposition`,
+:func:`compose_split` and :func:`vertical_bound_from_sequential` -- and
+lists its inputs' provenance before its own step.
 """
 
 from __future__ import annotations
@@ -75,6 +80,12 @@ def as_lower(report: BoundReport) -> BoundReport:
     raise BoundError("an upper bound cannot be read as a lower bound")
 
 
+def _carried(inputs, value: Value, step: str, **fields) -> BoundReport:
+    """A transfer lower bound: the inputs' provenance in order, then ``step``."""
+    provenance = tuple(s for rep in inputs for s in rep.provenance) + (step,)
+    return BoundReport(kind="lower", value=value, method="transfer", provenance=provenance, **fields)
+
+
 def transfer_bound(report: BoundReport, rule: str, di_size: int, do_size: int) -> BoundReport:
     """Carry a lower bound across a tagging/untagging/deletion surgery.
 
@@ -101,14 +112,7 @@ def transfer_bound(report: BoundReport, rule: str, di_size: int, do_size: int) -
     else:
         value = report.value + delta
         step = f"deletion: +|dI|({di_size}) +|dO|({do_size})"
-    return BoundReport(
-        kind="lower",
-        value=value,
-        method="transfer",
-        symbolic=report.symbolic,
-        params=dict(report.params),
-        provenance=report.provenance + (step,),
-    )
+    return _carried((report,), value, step, symbolic=report.symbolic, params=dict(report.params))
 
 
 def compose_decomposition(reports: list[BoundReport]) -> BoundReport:
@@ -119,16 +123,38 @@ def compose_decomposition(reports: list[BoundReport]) -> BoundReport:
     """
     if not reports:
         raise BoundError("decomposition needs at least one block report")
-    total: Value = Fraction(0)
-    prov: tuple[str, ...] = ()
-    for rep in reports:
-        low = as_lower(rep)
-        total = total + low.value
-        prov = prov + low.provenance
-    return BoundReport(
-        kind="lower",
-        value=total,
-        method="transfer",
-        params={"blocks": len(reports)},
-        provenance=prov + (f"decomposition: sum over {len(reports)} blocks",),
+    lows = [as_lower(rep) for rep in reports]
+    total = sum((low.value for low in lows), Fraction(0))
+    step = f"decomposition: sum over {len(reports)} blocks"
+    return _carried(lows, total, step, params={"blocks": len(reports)})
+
+
+def compose_split(split, first_lb: BoundReport, second_lb: BoundReport) -> BoundReport:
+    """Sum lower bounds for the parts of a :class:`~pebblebound.cdag.NondisjointSplit`.
+
+    ``first_lb`` bounds ``split.first`` at capacity S+1 and ``second_lb``
+    ``split.second`` at S; the sum bounds the whole at S (``split.rule``).
+    """
+    lows = (as_lower(first_lb), as_lower(second_lb))
+    step = f"nondisjoint-split at {split.anchor}: {split.rule}"
+    return _carried(lows, lows[0].value + lows[1].value, step)
+
+
+def vertical_bound_from_sequential(seq_lb: BoundReport, n_units: int) -> BoundReport:
+    """Per-unit traffic at a level with n_units units: sequential bound / n_units.
+
+    The unit with maximum traffic moves at least a 1/n_units share of the
+    single-processor bound computed at the level's aggregate capacity.
+    The exact rational is kept (no integer floor) so machine-balance
+    intensities stay exact.
+    """
+    if seq_lb.kind not in ("lower", "exact"):
+        raise BoundError("vertical transfer needs a lower bound")
+    if n_units < 1:
+        raise BoundError("unit count must be >= 1")
+    value = seq_lb.value / n_units if isinstance(seq_lb.value, float) else Fraction(seq_lb.value) / n_units
+    return _carried(
+        (seq_lb,), value, f"vertical: divide by {n_units} units, max-traffic unit",
+        symbolic=(seq_lb.symbolic + f" / {n_units}") if seq_lb.symbolic else None,
+        params=dict(seq_lb.params, n_units=n_units),
     )

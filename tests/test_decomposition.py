@@ -14,6 +14,7 @@ from pebblebound import (
     PrbwMove,
     as_lower,
     compose_decomposition,
+    compose_split,
     gen_cg,
     gen_composite,
     horizontal_bound_spart,
@@ -88,7 +89,7 @@ class TestCgSlabSplit:
         split = nondisjoint_decompose(ann.cdag, ids["a1"], {ids["p1[0]"], ids["p1[1]"]})
         first = optimal_io(split.first, 5)
         second = optimal_io(split.second, 4)
-        combined = split.compose(first, second)
+        combined = compose_split(split, first, second)
         assert combined.kind == "lower"
         assert combined.value == first.value + second.value
         assert any("nondisjoint" in s for s in combined.provenance)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pebblebound import FormatError, PebbleboundError, gen_cg, gen_jacobi
+from pebblebound import FormatError, GameError, PebbleboundError, gen_cg, gen_jacobi
 from pebblebound.formats import (
     Annotations,
     format_annotations,
@@ -16,7 +16,7 @@ from pebblebound.formats import (
     parse_machine,
     parse_trace,
 )
-from pebblebound.games import HierarchyConfig, PrbwMove, RbwMove, heuristic_game
+from pebblebound.games import PRBW_RULE, HierarchyConfig, PrbwMove, RbwMove, heuristic_game
 
 from conftest import small_dags
 
@@ -82,6 +82,18 @@ class TestAnnotations:
         with pytest.raises(FormatError):
             parse_annotations("slabs a 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("slab a 1\nslab b 2\nslab a 3\n", "line 3: slab 'a' declared twice"),
+            ("frontier a b 1\nfrontier b a 1\nfrontier a b 2\n", "line 3: frontier 'a' 'b' declared twice"),
+        ],
+    )
+    def test_repeated_record_rejected(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_annotations(text)
+        assert str(exc.value) == message
+
 
 class TestTraces:
     def test_rbw_roundtrip(self):
@@ -103,6 +115,33 @@ class TestTraces:
             PrbwMove("Delete", 3, level=1, unit=1),
         ]
         assert parse_trace(format_trace("prbw", moves)) == ("prbw", moves)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(PRBW_RULE)),
+                st.integers(0, 9),
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.none() | st.integers(0, 3),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_prbw_move_survives_a_roundtrip(self, rows):
+        # a trace file scores what the moves in memory score: no move may
+        # have a source unit its line drops (R4, R5 and R7 carry a level;
+        # the game reads no level for the other kinds)
+        moves = []
+        for kind, vertex, level, unit, src_unit in rows:
+            level = level if kind in ("MoveUp", "MoveDown", "Delete") else 0
+            try:
+                moves.append(PrbwMove(kind, vertex, level=level, unit=unit, src_unit=src_unit))
+            except GameError:
+                continue
+        text = format_trace("prbw", moves)
+        assert parse_trace(text) == ("prbw", moves)
 
     def test_prbw_unknown_rule(self):
         with pytest.raises(FormatError) as exc:

@@ -279,15 +279,15 @@ class TestValidatePrbw:
         with pytest.raises(GameError, match="capacity 2 exceeded at level 1 unit 0"):
             validate_prbw(c, cfg, trace)
 
-    def test_move_between_non_parent_child_units(self):
-        c = make_cdag(1, [], inputs=[0], outputs=[0])
-        cfg = two_node_config()
-        trace = [
-            PrbwMove("Input", 0, unit=0),
-            PrbwMove("MoveDown", 0, level=2, unit=1, src_unit=0),  # unit 0 is not node 1's child
-        ]
-        with pytest.raises(GameError, match="not a child"):
-            validate_prbw(c, cfg, trace)
+    @pytest.mark.parametrize("kind", ["Input", "Output", "MoveUp", "MoveDown", "Compute", "Delete"])
+    def test_only_remote_get_names_a_source_unit(self, kind):
+        # no trace line but R3 carries a source unit, so no other move has one
+        with pytest.raises(GameError, match=f"^only a RemoteGet names a source unit, not a {kind}$"):
+            PrbwMove(kind, 0, level=2, unit=0, src_unit=1)
+
+    def test_remote_get_needs_a_source_unit(self):
+        with pytest.raises(GameError, match="^a RemoteGet needs a source unit$"):
+            PrbwMove("RemoteGet", 0, unit=1)
 
     def test_inclusive_capacity_counts_descendants(self):
         c = make_cdag(2, [], inputs=[0, 1], outputs=[0, 1])
@@ -360,6 +360,21 @@ class TestPrbwEdgeRules:
         ]
         tally = validate_prbw(c, cfg, trace)
         assert tally.vertical_up == {(1, 1): 1}
+
+    def test_move_down_charges_lowest_id_holder(self):
+        # both processors hold vertex 0; once processor 0 drops it, the
+        # second copy toward memory is charged to processor 1
+        c = make_cdag(1, [], inputs=[0], outputs=[0])
+        cfg = two_level_config(S1=2, S2=4, procs=2)
+        trace = [
+            PrbwMove("Input", 0, unit=0),
+            PrbwMove("MoveUp", 0, level=1, unit=0),
+            PrbwMove("MoveUp", 0, level=1, unit=1),
+            PrbwMove("MoveDown", 0, level=2, unit=0),
+            PrbwMove("Delete", 0, level=1, unit=0),
+            PrbwMove("MoveDown", 0, level=2, unit=0),
+        ]
+        assert validate_prbw(c, cfg, trace).vertical_up == {(1, 0): 1, (1, 1): 1}
 
     def test_unit_sets_are_made_on_first_use(self):
         # a one-level hierarchy needs no parent records, so a file may declare

@@ -1,8 +1,9 @@
 """Cross-engine invariants checked exhaustively at desk scale.
 
 These are the structural facts the bound engines rely on: block sums never
-exceed the whole, tag surgery moves bounds in the stated direction, and
-every optimal game certifies a capacity partition of matching block count.
+exceed the whole, nor does a split at a pinned vertex, tag surgery moves
+bounds in the stated direction, and every optimal game certifies a capacity
+partition of matching block count.
 """
 
 import math
@@ -15,9 +16,12 @@ from pebblebound import (
     InfeasibleGameError,
     Partition,
     check_spartition,
+    check_split_side_conditions,
+    compose_split,
     gen_jacobi,
     heuristic_game,
     mincut_divide_bound,
+    nondisjoint_decompose,
     optimal_io,
     spart_lower_bound,
     umax_bruteforce,
@@ -65,6 +69,33 @@ class TestDecompositionProperty:
         first = try_oracle(c.induced({0, 1, 2}), 2)
         second = try_oracle(c.induced({3, 4, 5}), 2)
         assert first + second <= whole
+
+
+class TestSplitProperty:
+    @given(tagged_dags(max_n=8), st.integers(2, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_split_rule_never_exceeds_whole(self, cdag, S, data):
+        # IO_{S+1}(first) + IO_S(second) <= IO_S(whole) for a detached set
+        # that only leaves through the pinned vertex x: close a drawn seed
+        # under successors, stopping at x
+        if len(cdag.vertices) < 2:
+            return  # nothing to detach beside x
+        x = data.draw(st.sampled_from(sorted(cdag.vertices)))
+        seed = data.draw(st.sets(st.sampled_from(sorted(cdag.vertices - {x})), min_size=1))
+        detached, todo = set(), list(seed)
+        while todo:
+            v = todo.pop()
+            if v != x and v not in detached:
+                detached.add(v)
+                todo.extend(cdag.succs[v])
+        assert check_split_side_conditions(cdag, x, detached) == []
+        split = nondisjoint_decompose(cdag, x, detached)
+        try:
+            whole = optimal_io(cdag, S)
+            first, second = optimal_io(split.first, S + 1), optimal_io(split.second, S)
+        except InfeasibleGameError:
+            return  # no optimum to compare at this S
+        assert compose_split(split, first, second).value <= whole.value
 
 
 class TestTagSurgeryMonotonicity:
