@@ -103,20 +103,20 @@ def check_spartition(cdag: Cdag, blocks: Iterable[Iterable[int]], S: int, mode: 
     if mode not in ("hk", "rbw"):
         raise BoundError(f"unknown S-partition mode {mode!r}")
     blks = tuple(frozenset(b) for b in blocks)
-    violations = []
     domain = cdag.vertices if mode == "hk" else cdag.vertices - cdag.inputs
-    part = Partition.of(blks)
-    violations.extend(part.validate(cdag, domain))
+    violations = Partition.of(blks).validate(cdag, domain)
+    # validate names a vertex the CDAG lacks; the rest sees known vertices only
+    known = tuple(b & cdag.vertices for b in blks)
     # pairwise circuits
-    for i in range(len(blks)):
-        for j in range(i + 1, len(blks)):
-            fwd = any(w in blks[j] for v in blks[i] for w in cdag.succs[v])
-            back = any(w in blks[i] for v in blks[j] for w in cdag.succs[v])
+    for i in range(len(known)):
+        for j in range(i + 1, len(known)):
+            fwd = any(w in known[j] for v in known[i] for w in cdag.succs[v])
+            back = any(w in known[i] for v in known[j] for w in cdag.succs[v])
             if fwd and back:
                 violations.append(f"circuit between blocks {i} and {j}")
     in_sizes = []
     out_sizes = []
-    for i, blk in enumerate(blks):
+    for i, blk in enumerate(known):
         if mode == "rbw":
             isz = len(block_in_set(cdag, blk))
             osz = len(block_out_set(cdag, blk))

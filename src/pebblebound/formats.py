@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .cdag import Cdag
-from .errors import CdagError, FormatError
-from .games import PRBW_RULE, RBW_RULE, HierarchyConfig, PrbwMove, RbwMove
+from .errors import FormatError
+from .games import PRBW_MOVES, RBW_RULE, HierarchyConfig, PrbwMove, RbwMove
 
 
 def _lines(text: str):
@@ -193,18 +193,7 @@ def format_annotations(ann: Annotations) -> str:
 # ---------------------------------------------------------------------------
 
 _RBW_BY_RULE = {rule: kind for kind, rule in RBW_RULE.items()}
-_PRBW_BY_RULE = {rule: kind for kind, rule in PRBW_RULE.items()}
-
-# the PrbwMove fields a hierarchical trace line lists after its rule tag
-_PRBW_FIELDS = {
-    "R1": ("vertex", "unit"),
-    "R2": ("vertex", "unit"),
-    "R3": ("vertex", "src_unit", "unit"),
-    "R4": ("vertex", "level", "unit"),
-    "R5": ("vertex", "level", "unit"),
-    "R6": ("vertex", "unit"),
-    "R7": ("vertex", "level", "unit"),
-}
+_PRBW_BY_RULE = {rule: kind for kind, (rule, _) in PRBW_MOVES.items()}
 
 
 def parse_trace(text: str):
@@ -233,14 +222,14 @@ def _parse_prbw_moves(rows) -> list[PrbwMove]:
     moves = []
     for lineno, toks in rows:
         rule = toks[0]
-        fields = _PRBW_FIELDS.get(rule)
-        if fields is None:
+        kind = _PRBW_BY_RULE.get(rule)
+        if kind is None:
             raise FormatError(f"line {lineno}: unknown rule {rule!r}")
         try:
-            args = dict(zip(fields, map(int, toks[1:]), strict=True))
+            args = dict(zip(PRBW_MOVES[kind][1], map(int, toks[1:]), strict=True))
         except ValueError:
             raise FormatError(f"line {lineno}: bad arguments for {rule}") from None
-        moves.append(PrbwMove(_PRBW_BY_RULE[rule], **args))
+        moves.append(PrbwMove(kind, **args))
     return moves
 
 
@@ -250,8 +239,8 @@ def format_trace(game: str, moves) -> str:
         if game == "rbw":
             out.append(f"{RBW_RULE[m.kind]} {m.vertex}")
         else:
-            rule = PRBW_RULE[m.kind]
-            out.append(" ".join([rule] + [str(getattr(m, f)) for f in _PRBW_FIELDS[rule]]))
+            rule, fields = PRBW_MOVES[m.kind]
+            out.append(" ".join([rule] + [str(getattr(m, f)) for f in fields]))
     return "\n".join(out) + "\n"
 
 
@@ -263,47 +252,40 @@ def format_trace(game: str, moves) -> str:
 def parse_hierarchy(text: str) -> HierarchyConfig:
     """Parse the memory-tree format.
 
-    ``levels`` must equal the number of ``level`` records, and ``procs`` the
-    level-1 unit count::
+    L is the number of ``level`` records, numbered 1..L, and the processor
+    count is the level-1 unit count::
 
-        hier 1
-        levels 2
+        hier 2
         level 1 units 2 cap 3
         level 2 units 1 cap 8
         parent 1 0 0
         parent 1 1 0
-        procs 2
         policy inclusive
     """
-    rows = _expect_header(text, ("hier", "1"))
-    levels = None
+    rows = _expect_header(text, ("hier", "2"))
     units: dict[int, int] = {}
     caps: dict[int, int] = {}
     parent: dict[tuple[int, int], int] = {}
-    procs = None
     policy = "inclusive"
     for lineno, toks in rows:
-        if toks[0] == "levels" and len(toks) == 2:
-            levels = _int(toks[1], lineno)
-        elif toks[0] == "level" and len(toks) == 6 and toks[2] == "units" and toks[4] == "cap":
+        if toks[0] == "level" and len(toks) == 6 and toks[2] == "units" and toks[4] == "cap":
             l = _int(toks[1], lineno)
+            if l in units:
+                raise FormatError(f"line {lineno}: level {l} declared twice")
             units[l] = _int(toks[3], lineno)
             caps[l] = _int(toks[5], lineno)
         elif toks[0] == "parent" and len(toks) == 4:
-            l = _int(toks[1], lineno)
-            parent[(l, _int(toks[2], lineno))] = _int(toks[3], lineno)
-        elif toks[0] == "procs" and len(toks) == 2:
-            procs = _int(toks[1], lineno)
+            l, j = _int(toks[1], lineno), _int(toks[2], lineno)
+            if (l, j) in parent:
+                raise FormatError(f"line {lineno}: parent of level {l} unit {j} declared twice")
+            parent[(l, j)] = _int(toks[3], lineno)
         elif toks[0] == "policy" and len(toks) == 2 and toks[1] in ("inclusive", "exclusive"):
             policy = toks[1]
         else:
             raise FormatError(f"line {lineno}: unknown record {' '.join(toks)!r}")
-    if levels is None or procs is None:
-        raise FormatError("hierarchy needs 'levels' and 'procs' records")
+    levels = len(units)
     # sizes come from the file: compare them before building anything from them
-    if levels < 1:
-        raise FormatError(f"hierarchy needs levels >= 1, got {levels}")
-    if len(units) != levels or not all(1 <= l <= levels for l in units):
+    if not all(1 <= l <= levels for l in units):
         raise FormatError("hierarchy needs one 'level' record per level 1..L")
     below_top = sum(max(units[l], 0) for l in range(1, levels))
     if below_top > len(parent):
@@ -317,23 +299,16 @@ def parse_hierarchy(text: str) -> HierarchyConfig:
         parent=parent,
         policy=policy,
     )
-    violations = cfg.validate()
-    if procs != cfg.units[0]:
-        # listed after the size check, the only earlier check a parsed file can fail
-        at = int("unit counts and capacities must be >= 1" in violations)
-        violations.insert(at, f"level-1 unit count {cfg.units[0]} must equal processor count {procs}")
-    if violations:
-        raise CdagError("invalid hierarchy: " + "; ".join(violations))
+    cfg.check()
     return cfg
 
 
 def format_hierarchy(cfg: HierarchyConfig) -> str:
-    out = ["hier 1", f"levels {len(cfg.units)}"]
+    out = ["hier 2"]
     for l in range(1, len(cfg.units) + 1):
         out.append(f"level {l} units {cfg.units[l - 1]} cap {cfg.capacities[l - 1]}")
     for (l, u), p in sorted(cfg.parent.items()):
         out.append(f"parent {l} {u} {p}")
-    out.append(f"procs {cfg.units[0]}")
     out.append(f"policy {cfg.policy}")
     return "\n".join(out) + "\n"
 

@@ -31,14 +31,16 @@ from .errors import CdagError, GameError, InfeasibleGameError
 # move kind -> rule tag, as trace files and error messages write it; the
 # keys are every kind a move of that game may have
 RBW_RULE = {"Input": "R1", "Output": "R2", "Compute": "R3", "Delete": "R4"}
-PRBW_RULE = {
-    "Input": "R1",
-    "Output": "R2",
-    "RemoteGet": "R3",
-    "MoveUp": "R4",
-    "MoveDown": "R5",
-    "Compute": "R6",
-    "Delete": "R7",
+# the same for the hierarchical game, with the PrbwMove fields that the
+# kind's trace line lists after its rule tag
+PRBW_MOVES = {
+    "Input": ("R1", ("vertex", "unit")),
+    "Output": ("R2", ("vertex", "unit")),
+    "RemoteGet": ("R3", ("vertex", "src_unit", "unit")),
+    "MoveUp": ("R4", ("vertex", "level", "unit")),
+    "MoveDown": ("R5", ("vertex", "level", "unit")),
+    "Compute": ("R6", ("vertex", "unit")),
+    "Delete": ("R7", ("vertex", "level", "unit")),
 }
 
 
@@ -58,25 +60,30 @@ class RbwMove:
 class PrbwMove:
     """One move of the hierarchical game.
 
-    ``level``/``unit`` locate the pebble being placed or removed.
-    ``src_unit`` is the source unit of a RemoteGet: every RemoteGet names
-    one and no other move does.  A MoveDown copies from the lowest-id child
-    that holds the value, since its trace line names no child.
+    ``level``/``unit`` locate the pebble being placed or removed, and
+    ``src_unit`` is the source unit of a RemoteGet.  A move sets ``level``
+    and ``src_unit`` exactly when its trace line lists them
+    (:data:`PRBW_MOVES`).  A MoveDown copies from the lowest-id child that
+    holds the value, since its trace line names no child.
     """
 
     kind: str
     vertex: int
-    level: int = 0
+    level: Optional[int] = None
     unit: int = 0
     src_unit: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in PRBW_RULE:
+        if self.kind not in PRBW_MOVES:
             raise GameError(f"unknown move kind {self.kind!r}")
-        if (self.src_unit is None) == (self.kind == "RemoteGet"):
-            if self.src_unit is None:
-                raise GameError("a RemoteGet needs a source unit")
-            raise GameError(f"only a RemoteGet names a source unit, not a {self.kind}")
+        for name, what in (("src_unit", "source unit"), ("level", "level")):
+            unset = getattr(self, name) is None
+            if unset == (name in PRBW_MOVES[self.kind][1]):
+                if unset:
+                    raise GameError(f"a {self.kind} needs a {what}")
+                *rest, last = [k for k, (_, line) in PRBW_MOVES.items() if name in line]
+                kinds = f"{', '.join(rest)} or {last}" if rest else last
+                raise GameError(f"only a {kinds} names a {what}, not a {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,9 @@ class HierarchyConfig:
                     v.append(f"missing parent for level {l} unit {j}")
                 elif not 0 <= par < self.units[l]:
                     v.append(f"parent of level {l} unit {j} out of range: {par}")
+        for l, j in sorted(self.parent):
+            if not (1 <= l < levels and 0 <= j < self.units[l - 1]):
+                v.append(f"parent given for level {l} unit {j}, not a unit below level {levels}")
         return v
 
     def check(self) -> None:
@@ -275,7 +285,7 @@ def validate_rbw(cdag: Cdag, S: int, trace: Iterable[RbwMove]) -> IoTally:
 class PrbwGame:
     """Incremental rule checker for the hierarchical parallel game."""
 
-    rules = PRBW_RULE
+    rules = {kind: rule for kind, (rule, _) in PRBW_MOVES.items()}
     recompute = False  # finish is FlatGame's, whose rbw branch is this game's rule
 
     def __init__(self, cdag: Cdag, config: HierarchyConfig):

@@ -490,6 +490,12 @@ class TestSPartitionChecker:
         _, violations = check_spartition(c, [{1, 3}, {2}], S=3, mode="rbw")
         assert any("circuit" in v for v in violations)
 
+    @pytest.mark.parametrize("mode, block", [("rbw", {1, 2, 3, 99}), ("hk", {0, 1, 2, 3, 99})])
+    def test_unknown_vertex_is_a_violation(self, mode, block):
+        cert, violations = check_spartition(gen_chain(4).cdag, [block], S=2, mode=mode)
+        assert violations == ["block 0 contains unknown vertices [99]", "blocks exceed domain by [99]"]
+        assert cert.in_sizes == (1,) and cert.out_sizes == (1,)
+
     def test_hk_mode_uses_dominators(self):
         c = diamond()
         cert, violations = check_spartition(c, [c.vertices], S=1, mode="hk")

@@ -112,8 +112,8 @@ class TestValidatePlayOracle:
         cdag.write_text("cdag 1\nv 0 in\nv 1 out\ne 0 1\n", encoding="utf-8")
         hier = tmp_path / "h.hier"
         hier.write_text(
-            "hier 1\nlevels 2\nlevel 1 units 1 cap 2\nlevel 2 units 1 cap 4\n"
-            "parent 1 0 0\nprocs 1\npolicy inclusive\n",
+            "hier 2\nlevel 1 units 1 cap 2\nlevel 2 units 1 cap 4\n"
+            "parent 1 0 0\npolicy inclusive\n",
             encoding="utf-8",
         )
         trace = tmp_path / "t.trace"
@@ -136,7 +136,7 @@ class TestValidatePlayOracle:
         cdag.write_text("cdag 1\nv 0 in out\nv 1 in out\n", encoding="utf-8")
         hier = tmp_path / "h.hier"
         hier.write_text(
-            "hier 1\nlevels 1\nlevel 1 units 1 cap 1\nprocs 1\npolicy inclusive\n",
+            "hier 2\nlevel 1 units 1 cap 1\npolicy inclusive\n",
             encoding="utf-8",
         )
         trace = tmp_path / "t.trace"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pebblebound import FormatError, GameError, PebbleboundError, gen_cg, gen_jacobi
+from pebblebound import CdagError, FormatError, GameError, PebbleboundError, gen_cg, gen_jacobi
 from pebblebound.formats import (
     Annotations,
     format_annotations,
@@ -16,7 +16,7 @@ from pebblebound.formats import (
     parse_machine,
     parse_trace,
 )
-from pebblebound.games import PRBW_RULE, HierarchyConfig, PrbwMove, RbwMove, heuristic_game
+from pebblebound.games import PRBW_MOVES, HierarchyConfig, PrbwMove, RbwMove, heuristic_game
 
 from conftest import small_dags
 
@@ -119,9 +119,9 @@ class TestTraces:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(sorted(PRBW_RULE)),
+                st.sampled_from(sorted(PRBW_MOVES)),
                 st.integers(0, 9),
-                st.integers(0, 3),
+                st.none() | st.integers(0, 3),
                 st.integers(0, 3),
                 st.none() | st.integers(0, 3),
             ),
@@ -131,17 +131,47 @@ class TestTraces:
     @settings(max_examples=100, deadline=None)
     def test_every_prbw_move_survives_a_roundtrip(self, rows):
         # a trace file scores what the moves in memory score: no move may
-        # have a source unit its line drops (R4, R5 and R7 carry a level;
-        # the game reads no level for the other kinds)
+        # hold a level or a source unit its line drops
         moves = []
         for kind, vertex, level, unit, src_unit in rows:
-            level = level if kind in ("MoveUp", "MoveDown", "Delete") else 0
             try:
                 moves.append(PrbwMove(kind, vertex, level=level, unit=unit, src_unit=src_unit))
             except GameError:
                 continue
         text = format_trace("prbw", moves)
         assert parse_trace(text) == ("prbw", moves)
+
+    @pytest.mark.parametrize(
+        "kind, field, message",
+        [
+            ("Input", "level", "only a MoveUp, MoveDown or Delete names a level, not a Input"),
+            ("Input", "src_unit", "only a RemoteGet names a source unit, not a Input"),
+            ("Output", "level", "only a MoveUp, MoveDown or Delete names a level, not a Output"),
+            ("Output", "src_unit", "only a RemoteGet names a source unit, not a Output"),
+            ("RemoteGet", "level", "only a MoveUp, MoveDown or Delete names a level, not a RemoteGet"),
+            ("RemoteGet", "src_unit", "a RemoteGet needs a source unit"),
+            ("MoveUp", "level", "a MoveUp needs a level"),
+            ("MoveUp", "src_unit", "only a RemoteGet names a source unit, not a MoveUp"),
+            ("MoveDown", "level", "a MoveDown needs a level"),
+            ("MoveDown", "src_unit", "only a RemoteGet names a source unit, not a MoveDown"),
+            ("Compute", "level", "only a MoveUp, MoveDown or Delete names a level, not a Compute"),
+            ("Compute", "src_unit", "only a RemoteGet names a source unit, not a Compute"),
+            ("Delete", "level", "a Delete needs a level"),
+            ("Delete", "src_unit", "only a RemoteGet names a source unit, not a Delete"),
+        ],
+    )
+    def test_a_move_holds_exactly_the_fields_its_line_lists(self, kind, field, message):
+        # R3 lists a source unit; R4, R5 and R7 list a level
+        listed = {"RemoteGet": {"src_unit"}, "MoveUp": {"level"}, "MoveDown": {"level"}, "Delete": {"level"}}
+        args = {f: 1 for f in listed.get(kind, set())}
+        PrbwMove(kind, 0, unit=0, **args)
+        if field in args:
+            del args[field]
+        else:
+            args[field] = 1
+        with pytest.raises(GameError) as exc:
+            PrbwMove(kind, 0, unit=0, **args)
+        assert str(exc.value) == message
 
     def test_prbw_unknown_rule(self):
         with pytest.raises(FormatError) as exc:
@@ -174,65 +204,81 @@ class TestHierarchy:
         assert parse_hierarchy(format_hierarchy(cfg)) == cfg
 
     def test_missing_levels(self):
-        with pytest.raises(FormatError, match="levels"):
-            parse_hierarchy("hier 1\nprocs 1\n")
+        with pytest.raises(CdagError) as err:
+            parse_hierarchy("hier 2\npolicy inclusive\n")
+        assert str(err.value) == "invalid hierarchy: levels must be >= 1"
+
+    def test_old_version_rejected(self):
+        text = "hier 1\nlevels 1\nlevel 1 units 1 cap 3\nprocs 1\npolicy inclusive\n"
+        with pytest.raises(FormatError) as err:
+            parse_hierarchy(text)
+        assert str(err.value) == "missing or bad header line, expected 'hier 2'"
+
+    @pytest.mark.parametrize("record", ["levels 1", "procs 1"])
+    def test_count_records_rejected(self, record):
+        # L and the processor count follow from the level records
+        with pytest.raises(FormatError) as err:
+            parse_hierarchy(f"hier 2\nlevel 1 units 1 cap 3\n{record}\n")
+        assert str(err.value) == f"line 3: unknown record {record!r}"
 
     def test_invalid_config_rejected(self):
-        text = "hier 1\nlevels 1\nlevel 1 units 2 cap 3\nprocs 1\npolicy inclusive\n"
-        with pytest.raises(Exception):
+        text = "hier 2\nlevel 1 units 1 cap 0\nlevel 2 units 2 cap 4\nparent 1 0 5\npolicy inclusive\n"
+        with pytest.raises(CdagError) as err:
             parse_hierarchy(text)
+        assert str(err.value) == (
+            "invalid hierarchy: unit counts and capacities must be >= 1; "
+            "level 1 has fewer units than level 2; parent of level 1 unit 0 out of range: 5"
+        )
+
+    @pytest.mark.parametrize(
+        "parent, message",
+        [
+            ("parent 1 7 0", "parent given for level 1 unit 7, not a unit below level 2"),
+            ("parent 2 0 5", "parent given for level 2 unit 0, not a unit below level 2"),
+            ("parent 9 9 9", "parent given for level 9 unit 9, not a unit below level 2"),
+        ],
+    )
+    def test_parent_of_no_unit_rejected(self, parent, message):
+        text = (
+            "hier 2\nlevel 1 units 2 cap 3\nlevel 2 units 1 cap 8\n"
+            f"parent 1 0 0\nparent 1 1 0\n{parent}\n"
+        )
+        with pytest.raises(CdagError) as err:
+            parse_hierarchy(text)
+        assert str(err.value) == "invalid hierarchy: " + message
 
     @pytest.mark.parametrize(
         "records, message",
         [
             (
-                "levels 1\nlevel 1 units 0 cap 3\nprocs 1\n",
-                "unit counts and capacities must be >= 1; level-1 unit count 0 must equal processor count 1",
+                "level 1 units 1 cap 3\nlevel 1 units 1 cap 4\n",
+                "line 3: level 1 declared twice",
             ),
             (
-                "levels 2\nlevel 1 units 1 cap 0\nlevel 2 units 2 cap 4\nparent 1 0 5\nprocs 2\n",
-                "unit counts and capacities must be >= 1; level-1 unit count 1 must equal processor count 2; "
-                "level 1 has fewer units than level 2; parent of level 1 unit 0 out of range: 5",
-            ),
-            (
-                "levels 2\nlevel 1 units 1 cap 2\nlevel 2 units 2 cap 4\nparent 1 0 0\nprocs 2\n",
-                "level-1 unit count 1 must equal processor count 2; level 1 has fewer units than level 2",
+                "level 1 units 2 cap 3\nlevel 2 units 1 cap 8\nparent 1 0 0\nparent 1 0 0\nparent 1 1 0\n",
+                "line 5: parent of level 1 unit 0 declared twice",
             ),
         ],
     )
-    def test_procs_mismatch_keeps_its_place_among_violations(self, records, message):
-        with pytest.raises(PebbleboundError) as err:
-            parse_hierarchy("hier 1\n" + records)
-        assert str(err.value) == "invalid hierarchy: " + message
+    def test_repeated_record_rejected(self, records, message):
+        with pytest.raises(FormatError) as err:
+            parse_hierarchy("hier 2\n" + records)
+        assert str(err.value) == message
 
     # sizes read from the file are checked before anything is built from
     # them; before that check these documents allocated without bound
-    def test_huge_levels_rejected(self):
-        text = f"hier 1\nlevels {10**18}\nlevel 1 units 1 cap 3\nprocs 1\n"
-        with pytest.raises(FormatError, match="one 'level' record per level"):
-            parse_hierarchy(text)
-
     def test_huge_unit_count_rejected(self):
-        text = (
-            f"hier 1\nlevels 2\nlevel 1 units {10**18} cap 3\nlevel 2 units 1 cap 8\n"
-            f"parent 1 0 0\nprocs {10**18}\n"
-        )
+        text = f"hier 2\nlevel 1 units {10**18} cap 3\nlevel 2 units 1 cap 8\nparent 1 0 0\n"
         with pytest.raises(FormatError, match="'parent' record for each of the 1000000000000000000 units"):
             parse_hierarchy(text)
 
     def test_level_record_out_of_range_rejected(self):
-        text = "hier 1\nlevels 2\nlevel 1 units 1 cap 3\nlevel 3 units 1 cap 8\nprocs 1\n"
+        text = "hier 2\nlevel 1 units 1 cap 3\nlevel 3 units 1 cap 8\n"
         with pytest.raises(FormatError, match="one 'level' record per level"):
             parse_hierarchy(text)
 
-    @pytest.mark.parametrize("levels", [0, -3])
-    def test_nonpositive_levels_rejected(self, levels):
-        text = f"hier 1\nlevels {levels}\nprocs 1\n"
-        with pytest.raises(FormatError, match="levels >= 1"):
-            parse_hierarchy(text)
-
     def test_missing_parent_record_rejected(self):
-        text = "hier 1\nlevels 2\nlevel 1 units 2 cap 3\nlevel 2 units 1 cap 8\nparent 1 0 0\nprocs 2\n"
+        text = "hier 2\nlevel 1 units 2 cap 3\nlevel 2 units 1 cap 8\nparent 1 0 0\n"
         with pytest.raises(FormatError, match="each of the 2 units below level 2, got 1"):
             parse_hierarchy(text)
 
@@ -292,8 +338,8 @@ FUZZ_SEEDS = (
     (parse_trace, "trace prbw 1\nR1 1 0\nR3 2 0 1\nR4 2 1 0\nR5 2 2 0\nR6 3 1\nR7 3 1 1\nR2 1 0\n"),
     (
         parse_hierarchy,
-        "hier 1\nlevels 2\nlevel 1 units 2 cap 3\nlevel 2 units 1 cap 8\n"
-        "parent 1 0 0\nparent 1 1 0\nprocs 2\npolicy inclusive\n",
+        "hier 2\nlevel 1 units 2 cap 3\nlevel 2 units 1 cap 8\n"
+        "parent 1 0 0\nparent 1 1 0\npolicy inclusive\n",
     ),
     (
         parse_machine,

@@ -204,9 +204,8 @@ class TestHierarchyConfig:
         assert two_node_config().validate() == []
 
     def test_level1_units_must_equal_processors(self):
-        text = "hier 1\nlevels 1\nlevel 1 units 2 cap 3\nprocs 1\n"
-        with pytest.raises(CdagError, match="^invalid hierarchy: level-1 unit count 2 must equal processor count 1$"):
-            parse_hierarchy(text)
+        # a file states the processor count once, as the level-1 unit count
+        assert parse_hierarchy("hier 2\nlevel 1 units 2 cap 3\n").units == (2,)
 
     def test_missing_parent_flagged(self):
         cfg = HierarchyConfig(units=(2, 1), capacities=(2, 4), parent={(1, 0): 0})
