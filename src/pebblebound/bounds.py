@@ -27,12 +27,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .cdag import Cdag, Partition
 from .errors import DEFAULT_BUDGET, BoundError, BudgetExhaustedError
-from .generators import AlgorithmParams
 from .reports import BoundReport, nonneg
+
+if TYPE_CHECKING:
+    from .generators import AlgorithmParams
 
 
 # ---------------------------------------------------------------------------

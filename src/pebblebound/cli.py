@@ -16,51 +16,37 @@ so ``--kv`` stays byte-identical).
 ``main`` owns the invocation's one :class:`_Run`: a ``cmd_*`` function
 only reads inputs through it and emits outputs, and ``main`` turns its
 errors into exit codes and finishes the run on every path.
+
+Each process runs one command, so each ``cmd_*`` imports the engines it
+runs itself, at its top: before it reads any input, so that compiling an
+engine never adds to the peak memory that the parsed input holds.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .balance import AnalysisReport, analyze, load_machine, shipped_machines
-from .bounds import (
-    FlowStats,
-    analytic_lb,
-    mincut_divide_bound,
-    mincut_lower_bound,
-    require_S,
-    spart_lower_bound,
-    umax_bruteforce,
-)
-from .cdag import Cdag, Partition
-from .errors import DEFAULT_BUDGET, BudgetExhaustedError, FormatError, PebbleboundError
-from .formats import (
-    Annotations,
-    format_annotations,
-    format_cdag,
-    format_trace,
-    parse_annotations,
-    parse_cdag,
-    parse_hierarchy,
-    parse_machine,
-    parse_trace,
-)
-from .games import heuristic_game, validate_prbw, validate_rb, validate_rbw
-from .generators import ALGORITHMS, AlgorithmParams, generate
-from .oracle import OracleStats, optimal_io
-from .reports import BoundReport, render
+from .errors import ALGORITHMS, DEFAULT_BUDGET, BudgetExhaustedError, FormatError, PebbleboundError
+
+if TYPE_CHECKING:
+    from .balance import AnalysisReport
+    from .generators import AlgorithmParams
+    from .reports import BoundReport
 
 
 class _Run:
     """One invocation: its key=value outputs, input digests and run record."""
 
     def __init__(self, args, argv):
+        from .reports import render  # formats every output value
+
+        self.render = render
         self.kv = bool(getattr(args, "kv", False))
         self.record_path = getattr(args, "record", None)
         self.argv = argv
@@ -72,7 +58,7 @@ class _Run:
         self.started = time.monotonic()
 
     def emit(self, key: str, value) -> None:
-        self.pairs.append((key, render(value)))
+        self.pairs.append((key, self.render(value)))
 
     def record_stats(self, engine: str, stats):
         """Write an engine's work counters (a dataclass) to the run record.
@@ -85,9 +71,12 @@ class _Run:
         return stats
 
     def digest(self, path: str) -> bytes:
-        """An input file's bytes, read once; their sha256 goes to the record."""
+        """An input file's bytes, read once; with ``--record``, their sha256 goes to the record."""
         data = Path(path).read_bytes()
-        self.digests.append((path, hashlib.sha256(data).hexdigest()))
+        if self.record_path:
+            import hashlib
+
+            self.digests.append((path, hashlib.sha256(data).hexdigest()))
         return data
 
     def read(self, path: str) -> str:
@@ -133,7 +122,7 @@ class _Run:
                     for attr in ("best_known", "lower"):  # BudgetExhaustedError's bracket
                         value = getattr(self.error, attr, None)
                         if value is not None:
-                            fh.write(f"error.{attr}={render(value)}\n")
+                            fh.write(f"error.{attr}={self.render(value)}\n")
 
 
 def _emit_report(run: _Run, prefix: str, rep: BoundReport) -> None:
@@ -151,6 +140,8 @@ def _emit_report(run: _Run, prefix: str, rep: BoundReport) -> None:
 
 
 def _params_from_args(args) -> AlgorithmParams:
+    from .generators import AlgorithmParams
+
     return AlgorithmParams(
         algorithm=args.alg,
         n=args.n,
@@ -172,6 +163,9 @@ def _add_alg_flags(p, with_alg=True):
 
 
 def cmd_generate(args, run: _Run) -> None:
+    from .formats import Annotations, format_annotations, format_cdag
+    from .generators import generate
+
     ann = generate(_params_from_args(args))
     Path(args.out).write_text(format_cdag(ann.cdag), encoding="utf-8")
     run.emit("cdag", args.out)
@@ -188,6 +182,9 @@ def cmd_generate(args, run: _Run) -> None:
 
 
 def cmd_validate(args, run: _Run) -> None:
+    from .formats import parse_cdag, parse_hierarchy, parse_trace
+    from .games import validate_prbw, validate_rb, validate_rbw
+
     cdag = parse_cdag(run.read(args.cdag))
     game, moves = parse_trace(run.read(args.trace))
     if game == "prbw":
@@ -220,6 +217,9 @@ def cmd_validate(args, run: _Run) -> None:
 
 
 def cmd_play(args, run: _Run) -> None:
+    from .formats import format_trace, parse_cdag
+    from .games import heuristic_game
+
     cdag = parse_cdag(run.read(args.cdag))
     trace, tally = heuristic_game(cdag, args.S)
     run.emit("S", args.S)
@@ -231,14 +231,19 @@ def cmd_play(args, run: _Run) -> None:
         run.emit("trace", args.trace_out)
 
 
-def _optimum(run: _Run, cdag: Cdag, args):
+def _optimum(run: _Run, args):
+    """The exact optimum of ``--cdag`` at ``--S``, for ``oracle`` and ``bound --method oracle``."""
+    from .formats import parse_cdag
+    from .oracle import OracleStats, optimal_io
+
+    cdag = parse_cdag(run.read(args.cdag))
     # counters registered first, so the record keeps them when the budget runs out
     stats = run.record_stats("oracle", OracleStats())
     return optimal_io(cdag, args.S, game=args.game, budget=args.budget, stats=stats)
 
 
 def cmd_oracle(args, run: _Run) -> None:
-    rep = _optimum(run, parse_cdag(run.read(args.cdag)), args)
+    rep = _optimum(run, args)
     run.emit("game", args.game)
     run.emit("S", args.S)
     run.emit("optimum", rep.value)
@@ -246,6 +251,8 @@ def cmd_oracle(args, run: _Run) -> None:
 
 def cmd_bound(args, run: _Run) -> None:
     if args.method == "analytic":
+        from .bounds import analytic_lb
+
         if not args.alg:
             raise FormatError("--method analytic needs --alg")
         rep = analytic_lb(_params_from_args(args), P=args.P, S=args.S or 0)
@@ -253,11 +260,22 @@ def cmd_bound(args, run: _Run) -> None:
         raise FormatError(f"--method {args.method} needs --cdag")
     elif args.S is None:
         raise FormatError(f"--method {args.method} needs --S")
+    elif args.method == "oracle":
+        rep = _optimum(run, args)
     else:
+        from .bounds import (
+            FlowStats,
+            mincut_divide_bound,
+            mincut_lower_bound,
+            require_S,
+            spart_lower_bound,
+            umax_bruteforce,
+        )
+        from .cdag import Partition
+        from .formats import parse_annotations, parse_cdag
+
         cdag = parse_cdag(run.read(args.cdag))
-        if args.method == "oracle":
-            rep = _optimum(run, cdag, args)
-        elif args.method == "spart":
+        if args.method == "spart":
             require_S(args.S, "spart")  # before the umax search, whose errors name 2S
             umax = args.umax
             if umax is None:
@@ -284,6 +302,9 @@ def cmd_bound(args, run: _Run) -> None:
 
 
 def cmd_analyze(args, run: _Run) -> None:
+    from .balance import analyze, load_machine, shipped_machines
+    from .formats import parse_machine
+
     # a shipped name wins over a file of that name, which ./NAME reads
     if args.machine in shipped_machines() or not Path(args.machine).is_file():
         machine = load_machine(args.machine)

@@ -1,4 +1,10 @@
-"""Exception types shared across the package, and the default search budget."""
+"""Exception types shared across the package, the default search budget and
+the algorithm family names."""
+
+# The generator and analytic-bound families, by name.  Every CLI command
+# loads this module, so its parser reads the names here without importing
+# the generators.
+ALGORITHMS = ("outer_product", "matmul", "composite", "cg", "gmres", "jacobi", "chain")
 
 # Default cap on an exact search's work: oracle expansions, or umax search
 # nodes.  Both searches and the CLI take their default from here.

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .cdag import Cdag
 from .errors import FormatError
-from .games import PRBW_MOVES, RBW_RULE, HierarchyConfig, PrbwMove, RbwMove
+
+if TYPE_CHECKING:
+    from .games import HierarchyConfig, PrbwMove, RbwMove
 
 
 def _lines(text: str):
@@ -189,11 +192,9 @@ def format_annotations(ann: Annotations) -> str:
 
 
 # ---------------------------------------------------------------------------
-# trace format
+# trace format (the move tables live in games, which only this section and
+# the hierarchy format need, so they import it where they run)
 # ---------------------------------------------------------------------------
-
-_RBW_BY_RULE = {rule: kind for kind, rule in RBW_RULE.items()}
-_PRBW_BY_RULE = {rule: kind for kind, (rule, _) in PRBW_MOVES.items()}
 
 
 def parse_trace(text: str):
@@ -210,19 +211,25 @@ def parse_trace(text: str):
 
 
 def _parse_rbw_moves(rows) -> list[RbwMove]:
+    from .games import RBW_RULE, RbwMove
+
+    by_rule = {rule: kind for kind, rule in RBW_RULE.items()}
     moves = []
     for lineno, toks in rows:
-        if toks[0] not in _RBW_BY_RULE or len(toks) != 2:
+        if toks[0] not in by_rule or len(toks) != 2:
             raise FormatError(f"line {lineno}: expected 'R1..R4 <vertex>'")
-        moves.append(RbwMove(_RBW_BY_RULE[toks[0]], _int(toks[1], lineno)))
+        moves.append(RbwMove(by_rule[toks[0]], _int(toks[1], lineno)))
     return moves
 
 
 def _parse_prbw_moves(rows) -> list[PrbwMove]:
+    from .games import PRBW_MOVES, PrbwMove
+
+    by_rule = {rule: kind for kind, (rule, _) in PRBW_MOVES.items()}
     moves = []
     for lineno, toks in rows:
         rule = toks[0]
-        kind = _PRBW_BY_RULE.get(rule)
+        kind = by_rule.get(rule)
         if kind is None:
             raise FormatError(f"line {lineno}: unknown rule {rule!r}")
         try:
@@ -234,6 +241,8 @@ def _parse_prbw_moves(rows) -> list[PrbwMove]:
 
 
 def format_trace(game: str, moves) -> str:
+    from .games import PRBW_MOVES, RBW_RULE
+
     out = [f"trace {game} 1"]
     for m in moves:
         if game == "rbw":
@@ -261,12 +270,16 @@ def parse_hierarchy(text: str) -> HierarchyConfig:
         parent 1 0 0
         parent 1 1 0
         policy inclusive
+
+    The policy defaults to inclusive; a file states it at most once.
     """
+    from .games import HierarchyConfig
+
     rows = _expect_header(text, ("hier", "2"))
     units: dict[int, int] = {}
     caps: dict[int, int] = {}
     parent: dict[tuple[int, int], int] = {}
-    policy = "inclusive"
+    policy = None
     for lineno, toks in rows:
         if toks[0] == "level" and len(toks) == 6 and toks[2] == "units" and toks[4] == "cap":
             l = _int(toks[1], lineno)
@@ -280,6 +293,8 @@ def parse_hierarchy(text: str) -> HierarchyConfig:
                 raise FormatError(f"line {lineno}: parent of level {l} unit {j} declared twice")
             parent[(l, j)] = _int(toks[3], lineno)
         elif toks[0] == "policy" and len(toks) == 2 and toks[1] in ("inclusive", "exclusive"):
+            if policy is not None:
+                raise FormatError(f"line {lineno}: policy declared twice")
             policy = toks[1]
         else:
             raise FormatError(f"line {lineno}: unknown record {' '.join(toks)!r}")
@@ -297,7 +312,7 @@ def parse_hierarchy(text: str) -> HierarchyConfig:
         units=tuple(units[l] for l in range(1, levels + 1)),
         capacities=tuple(caps[l] for l in range(1, levels + 1)),
         parent=parent,
-        policy=policy,
+        policy=policy or "inclusive",
     )
     cfg.check()
     return cfg

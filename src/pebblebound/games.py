@@ -364,7 +364,7 @@ class PrbwGame:
             # data moves toward the processors: child unit copies from parent
             level, unit = move.level, move.unit
             if not 1 <= level < self.L:
-                raise GameError(f"move toward processors needs level < {self.L}")
+                raise GameError(f"move toward processors needs 1 <= level < {self.L}")
             self._check_unit(level, unit)
             par = self.cfg.parent[(level, unit)]
             if v not in self._held(level + 1, par):
@@ -376,7 +376,7 @@ class PrbwGame:
             # data moves toward main memory: parent unit copies from a child
             level, unit = move.level, move.unit
             if not 2 <= level <= self.L:
-                raise GameError("move toward memory needs level >= 2")
+                raise GameError(f"move toward memory needs 2 <= level <= {self.L}")
             self._check_unit(level, unit)
             holders = [c for c in self.cfg.children(level, unit) if v in self._held(level - 1, c)]
             if not holders:

@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .cdag import Cdag
-from .errors import CdagError
-
-ALGORITHMS = ("outer_product", "matmul", "composite", "cg", "gmres", "jacobi", "chain")
+from .errors import ALGORITHMS, CdagError
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,10 @@ class TestHierarchy:
                 "level 1 units 2 cap 3\nlevel 2 units 1 cap 8\nparent 1 0 0\nparent 1 0 0\nparent 1 1 0\n",
                 "line 5: parent of level 1 unit 0 declared twice",
             ),
+            (
+                "level 1 units 1 cap 3\npolicy inclusive\npolicy exclusive\n",
+                "line 4: policy declared twice",
+            ),
         ],
     )
     def test_repeated_record_rejected(self, records, message):

@@ -335,6 +335,24 @@ class TestPrbwEdgeRules:
         with pytest.raises(GameError, match="level"):
             validate_prbw(c, cfg, [PrbwMove("MoveDown", 0, level=1, unit=0)])
 
+    # each message states the whole range: a level below it (0) or above it
+    # (L + 1 = 3) reads as a violation of what it names
+    @pytest.mark.parametrize(
+        "kind, level, message",
+        [
+            ("MoveUp", 0, "step 2 R4: move toward processors needs 1 <= level < 2"),
+            ("MoveUp", 3, "step 2 R4: move toward processors needs 1 <= level < 2"),
+            ("MoveDown", 0, "step 2 R5: move toward memory needs 2 <= level <= 2"),
+            ("MoveDown", 3, "step 2 R5: move toward memory needs 2 <= level <= 2"),
+        ],
+    )
+    def test_level_out_of_range_names_the_whole_range(self, kind, level, message):
+        c = make_cdag(1, [], inputs=[0], outputs=[0])
+        trace = [PrbwMove("Input", 0, unit=0), PrbwMove(kind, 0, level=level, unit=0)]
+        with pytest.raises(GameError) as err:
+            validate_prbw(c, two_level_config(procs=1), trace)
+        assert str(err.value) == message
+
     def test_remote_get_needs_distinct_units(self):
         c = make_cdag(1, [], inputs=[0], outputs=[0])
         cfg = two_node_config()

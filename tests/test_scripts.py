@@ -50,3 +50,22 @@ def test_traced_launcher_wraps_the_game_layer(tmp_path):
         assert proc.returncode == 0, proc.stderr
     names = {span[0] for span in json.loads(spans.read_text())}
     assert {"games.heuristic", "games.validate"} <= names
+
+
+def test_traced_launcher_wraps_engines_the_cli_imports_late(tmp_path):
+    # cli imports each engine inside the command that runs it, after the
+    # launcher has wrapped the engine's functions, so the wrapped ones run:
+    # an oracle search whose budget runs out, and the player that then
+    # supplies its best-known bound, both leave timed spans
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cdag, spans = tmp_path / "jac.cdag", tmp_path / "spans.json"
+    for argv, code in (
+        (["-m", "pebblebound.cli", "generate", "--alg", "jacobi", "--n", "4", "--d", "1", "--T", "3",
+          "--out", str(cdag)], 0),
+        ([str(ROOT / "perfbench" / "shim.py"), str(spans), "job", "oracle", "--cdag", str(cdag), "--S", "4",
+          "--budget", "10", "--kv"], 3),
+    ):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+    took = {span[0]: span[2] - span[1] for span in json.loads(spans.read_text())}
+    assert took["oracle.search"] > 0 and took["games.heuristic"] > 0
