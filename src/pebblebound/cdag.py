@@ -74,7 +74,7 @@ class Cdag:
             bad = set(labels) - vs
             if bad:
                 raise CdagError(f"labels reference unknown vertices: {sorted(bad)}")
-            labels = dict(labels)
+            labels = dict(labels) or None  # an empty map and no map are one CDAG
         return cls(vs, frozenset(seen), ins, outs, labels)
 
     # -- derived structure -------------------------------------------------
@@ -242,7 +242,7 @@ class Cdag:
             raise CdagError(f"unknown vertex in block: {sorted(unknown)}")
         labels = None
         if self.labels is not None:
-            labels = {v: s for v, s in self.labels.items() if v in blk}
+            labels = {v: s for v, s in self.labels.items() if v in blk} or None
         return Cdag(
             vertices=blk,
             edges=frozenset((u, v) for u, v in self.edges if u in blk and v in blk),

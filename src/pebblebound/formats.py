@@ -55,6 +55,11 @@ def _positive_float(tok: str, lineno: int) -> float:
     return value
 
 
+def _has_space(tok: str) -> bool:
+    """Whether the parsers would split the token; only " " is printable whitespace."""
+    return " " in tok or not tok.isprintable() and any(map(str.isspace, tok))
+
+
 def _expect_header(text: str, expected: tuple[str, ...]):
     rows = list(_lines(text))
     if not rows or tuple(rows[0][1]) != expected:
@@ -129,8 +134,8 @@ def format_cdag(cdag: Cdag) -> str:
             toks.append("out")
         label = cdag.label(v)
         if label is not None:
-            if " " in label:
-                raise FormatError(f"label for vertex {v} contains a space: {label!r}")
+            if _has_space(label):
+                raise FormatError(f"label for vertex {v} contains whitespace: {label!r}")
             toks.append(f"label={label}")
         out.append(" ".join(toks))
     for src, dst in sorted(cdag.edges):
@@ -181,6 +186,9 @@ def parse_annotations(text: str) -> Annotations:
 
 
 def format_annotations(ann: Annotations) -> str:
+    for name in [*ann.slabs, *(n for key in ann.frontiers for n in key)]:
+        if not name or _has_space(name):
+            raise FormatError(f"slab name {name!r} is empty or contains whitespace")
     out = []
     for name, vs in ann.slabs.items():
         out.append("slab " + name + " " + " ".join(str(v) for v in sorted(vs)))
@@ -332,6 +340,18 @@ def format_hierarchy(cfg: HierarchyConfig) -> str:
 # machine spec format
 # ---------------------------------------------------------------------------
 
+# one-value machine record -> the MachineSpec field it sets and its parser
+_MACHINE_SCALARS = {
+    "name": ("name", lambda tok, lineno: tok),
+    "nodes": ("n_nodes", _positive_int),
+    "cores": ("n_cores", _positive_int),
+    "mem_words": ("mem_words", _positive_int),
+    "vbal": ("vertical_balance", _positive_float),
+    "hbal": ("horizontal_balance", _positive_float),
+    "raw_vbw": ("raw_vertical_bw", _positive_float),
+    "raw_flops": ("raw_flops_per_core", _positive_float),
+}
+
 
 def parse_machine(text: str):
     """Parse a machine description file into a MachineSpec.
@@ -346,6 +366,8 @@ def parse_machine(text: str):
         cache L2 4194304 shared 16 bal 0.052
         vbal 0.052
         hbal 0.049
+
+    Each record but ``cache`` appears at most once, and each cache name once.
     """
     from .balance import CacheLevel, MachineSpec
 
@@ -353,15 +375,14 @@ def parse_machine(text: str):
     fields: dict = {"caches": []}
     for lineno, toks in rows:
         key = toks[0]
-        if key == "name" and len(toks) == 2:
-            fields["name"] = toks[1]
-        elif key == "nodes" and len(toks) == 2:
-            fields["n_nodes"] = _positive_int(toks[1], lineno)
-        elif key == "cores" and len(toks) == 2:
-            fields["n_cores"] = _positive_int(toks[1], lineno)
-        elif key == "mem_words" and len(toks) == 2:
-            fields["mem_words"] = _positive_int(toks[1], lineno)
+        if key in _MACHINE_SCALARS and len(toks) == 2:
+            name, parse = _MACHINE_SCALARS[key]
+            if name in fields:
+                raise FormatError(f"line {lineno}: {key} declared twice")
+            fields[name] = parse(toks[1], lineno)
         elif key == "cache" and len(toks) in (5, 7) and toks[3] == "shared":
+            if any(c.name == toks[1] for c in fields["caches"]):
+                raise FormatError(f"line {lineno}: cache {toks[1]!r} declared twice")
             balance = None
             if len(toks) == 7:
                 if toks[5] != "bal":
@@ -375,14 +396,6 @@ def parse_machine(text: str):
                     balance=balance,
                 )
             )
-        elif key == "vbal" and len(toks) == 2:
-            fields["vertical_balance"] = _positive_float(toks[1], lineno)
-        elif key == "hbal" and len(toks) == 2:
-            fields["horizontal_balance"] = _positive_float(toks[1], lineno)
-        elif key == "raw_vbw" and len(toks) == 2:
-            fields["raw_vertical_bw"] = _positive_float(toks[1], lineno)
-        elif key == "raw_flops" and len(toks) == 2:
-            fields["raw_flops_per_core"] = _positive_float(toks[1], lineno)
         else:
             raise FormatError(f"line {lineno}: unknown record {' '.join(toks)!r}")
     required = ("name", "n_nodes", "n_cores", "mem_words", "vertical_balance", "horizontal_balance")

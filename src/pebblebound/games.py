@@ -22,6 +22,7 @@ A checker's ``apply`` names only the vertex a violation concerns; the
 from __future__ import annotations
 
 import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -94,7 +95,8 @@ class HierarchyConfig:
     (one per processor, so ``units[0]`` is the processor count); level L
     units are the main memories that exchange data with the blue backing
     store and with each other.  ``parent[(l, j)]`` names the level l+1 unit
-    above unit j of level l.
+    above unit j of level l.  ``policy`` says what a unit's capacity covers:
+    every pebble in its subtree (``inclusive``) or its own (``exclusive``).
     """
 
     units: tuple[int, ...]  # units[l-1] = number of level-l units
@@ -138,18 +140,6 @@ class HierarchyConfig:
     def children(self, level: int, unit: int) -> list[int]:
         """Child units (at level-1) of the given unit."""
         return [j for j in range(self.units[level - 2]) if self.parent[(level - 1, j)] == unit]
-
-    def subtree_units(self, level: int, unit: int) -> list[tuple[int, int]]:
-        """All (level, unit) pairs at or below the given unit."""
-        out = [(level, unit)]
-        frontier = [(level, unit)]
-        while frontier:
-            l, u = frontier.pop()
-            if l > 1:
-                for c in self.children(l, u):
-                    out.append((l - 1, c))
-                    frontier.append((l - 1, c))
-        return out
 
     @classmethod
     def flat(cls, S: int) -> "HierarchyConfig":
@@ -283,7 +273,12 @@ def validate_rbw(cdag: Cdag, S: int, trace: Iterable[RbwMove]) -> IoTally:
 
 
 class PrbwGame:
-    """Incremental rule checker for the hierarchical parallel game."""
+    """Incremental rule checker for the hierarchical parallel game.
+
+    A pebble uses the capacity of each unit :meth:`_charged` names.  Each
+    unit counts, per vertex, the pebbles that charge it: its occupancy is
+    the length of that map, and a placement or delete walks at most L units.
+    """
 
     rules = {kind: rule for kind, (rule, _) in PRBW_MOVES.items()}
     recompute = False  # finish is FlatGame's, whose rbw branch is this game's rule
@@ -294,10 +289,11 @@ class PrbwGame:
         self.cdag = cdag
         self.cfg = config
         self.L = len(config.units)
-        # pebbles[(level, unit)] = set of vertices holding that shade; a
-        # unit's set is made on its first placement, so memory follows the
-        # units a trace touches, not the units the hierarchy declares
+        # pebbles[(level, unit)] = vertices holding that shade; a unit's set
+        # and count map are made on first use, so memory follows the units
+        # a trace touches, not the units the hierarchy declares
         self.pebbles: dict[tuple[int, int], set[int]] = {}
+        self.counts: defaultdict[tuple[int, int], Counter[int]] = defaultdict(Counter)
         self.white: set[int] = set()
         self.blue: set[int] = set(cdag.inputs)
         self.tally = IoTally()
@@ -305,13 +301,13 @@ class PrbwGame:
     def _held(self, level: int, unit: int):
         return self.pebbles.get((level, unit), frozenset())
 
-    def _occupancy(self, level: int, unit: int) -> int:
-        if self.cfg.policy == "exclusive":
-            return len(self._held(level, unit))
-        held: set[int] = set()
-        for lu in self.cfg.subtree_units(level, unit):
-            held |= self._held(*lu)
-        return len(held)
+    def _charged(self, level: int, unit: int) -> list[tuple[int, int]]:
+        """The units a pebble here uses: this one and, if inclusive, its ancestors."""
+        path = [(level, unit)]
+        while self.cfg.policy == "inclusive" and level < self.L:
+            unit, level = self.cfg.parent[(level, unit)], level + 1
+            path.append((level, unit))
+        return path
 
     def _check_unit(self, level: int, unit: int) -> None:
         if not 1 <= level <= self.L:
@@ -320,18 +316,16 @@ class PrbwGame:
             raise GameError(f"unit {unit} out of range at level {level}")
 
     def _place(self, v: int, level: int, unit: int) -> None:
-        self.pebbles.setdefault((level, unit), set()).add(v)
-        # capacity must hold at the unit and, inclusively, at every ancestor
-        l, u = level, unit
-        while True:
-            occ = self._occupancy(l, u)
-            if occ > self.cfg.capacities[l - 1]:
-                self.pebbles[(level, unit)].discard(v)
+        if v in self._held(level, unit):
+            return
+        charged = self._charged(level, unit)
+        for l, u in charged:
+            counts = self.counts.get((l, u), ())
+            if v not in counts and len(counts) >= self.cfg.capacities[l - 1]:
                 raise GameError(f"capacity {self.cfg.capacities[l - 1]} exceeded at level {l} unit {u}", vertex=v)
-            if self.cfg.policy == "exclusive" or l == self.L:
-                break
-            u = self.cfg.parent[(l, u)]
-            l += 1
+        self.pebbles.setdefault((level, unit), set()).add(v)
+        for lu in charged:
+            self.counts[lu][v] += 1
 
     def apply(self, move: PrbwMove) -> None:
         v = move.vertex
@@ -404,6 +398,10 @@ class PrbwGame:
             if v not in self._held(level, unit):
                 raise GameError("no pebble to delete", vertex=v)
             self.pebbles[(level, unit)].discard(v)
+            for lu in self._charged(level, unit):
+                self.counts[lu][v] -= 1
+                if not self.counts[lu][v]:
+                    del self.counts[lu][v]
 
     finish = FlatGame.finish
 

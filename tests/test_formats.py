@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pebblebound import CdagError, FormatError, GameError, PebbleboundError, gen_cg, gen_jacobi
+from pebblebound import Cdag, CdagError, FormatError, GameError, PebbleboundError, gen_cg, gen_jacobi
 from pebblebound.formats import (
     Annotations,
     format_annotations,
@@ -68,6 +68,21 @@ class TestCdagFormat:
         with pytest.raises(FormatError, match="twice"):
             parse_cdag("cdag 1\nv 0\nv 0\n")
 
+    @pytest.mark.parametrize("label", ["a b", "a\tb", "a\nb", "a\u2028b"])
+    def test_label_with_whitespace_rejected(self, label):
+        # the parser splits records on any whitespace, so no label may hold one
+        c = Cdag.build([0], labels={0: label})
+        with pytest.raises(FormatError) as exc:
+            format_cdag(c)
+        assert str(exc.value) == f"label for vertex 0 contains whitespace: {label!r}"
+
+    def test_empty_label_map_is_no_map(self):
+        # a map without entries writes nothing, so it reads back as no map
+        labelled = Cdag.build([0, 1], [(0, 1)], [0], [1], labels={0: "x"})
+        for c in (Cdag.build([0, 1], [(0, 1)], [0], [1], labels={}), labelled.induced({1})):
+            assert c.labels is None
+            assert parse_cdag(format_cdag(c)) == c
+
 
 class TestAnnotations:
     def test_roundtrip_generator_sidecar(self):
@@ -93,6 +108,21 @@ class TestAnnotations:
         with pytest.raises(FormatError) as exc:
             parse_annotations(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "ann, name",
+        [
+            (Annotations(slabs={"": frozenset({1, 2})}), ""),
+            (Annotations(slabs={"a b": frozenset({1})}), "a b"),
+            (Annotations(frontiers={("a", "b\tc"): frozenset({1})}), "b\tc"),
+            (Annotations(frontiers={("", "b"): frozenset({1})}), ""),
+        ],
+    )
+    def test_unwritable_slab_name_rejected(self, ann, name):
+        # `slab  1 2` would read back as slab '1' holding {2}
+        with pytest.raises(FormatError) as exc:
+            format_annotations(ann)
+        assert str(exc.value) == f"slab name {name!r} is empty or contains whitespace"
 
 
 class TestTraces:
@@ -300,6 +330,23 @@ class TestMachine:
     def test_missing_field(self):
         with pytest.raises(FormatError, match="missing"):
             parse_machine("machine 1\nname x\n")
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            *((f"{key} 2", f"line 11: {key} declared twice")
+              for key in ("name", "nodes", "cores", "mem_words", "vbal", "hbal", "raw_vbw", "raw_flops")),
+            ("cache L1 32 shared 1", "line 11: cache 'L1' declared twice"),
+        ],
+    )
+    def test_repeated_record_rejected(self, record, message):
+        text = (
+            "machine 1\nname m\nnodes 4\ncores 2\nmem_words 1024\ncache L1 64 shared 1\n"
+            "vbal 0.05\nhbal 0.04\nraw_vbw 0.8\nraw_flops 8.0\n" + record + "\n"
+        )
+        with pytest.raises(FormatError) as exc:
+            parse_machine(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "record",

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebblebound import (
     CdagError,
@@ -18,7 +20,7 @@ from pebblebound import (
     validate_rbw,
 )
 from pebblebound.formats import parse_hierarchy
-from pebblebound.games import FlatGame, PrbwGame
+from pebblebound.games import PRBW_MOVES, FlatGame, PrbwGame
 
 from conftest import make_cdag
 
@@ -418,6 +420,99 @@ class TestPrbwEdgeRules:
         assert peak < 1 << 20
         with pytest.raises(GameError, match=f"step 1 R1: unit {units} out of range at level 1"):
             validate_prbw(gen_chain(3).cdag, cfg, [PrbwMove("Input", 0, unit=units)])
+
+
+@st.composite
+def hierarchies(draw):
+    """Memory trees of one to three levels, one to six units a level, either policy."""
+    levels = draw(st.integers(1, 3))
+    units = [draw(st.integers(1, 2))]
+    for _ in range(levels - 1):
+        units.insert(0, units[0] + draw(st.integers(0, 2)))
+    parent = {
+        (l, j): draw(st.integers(0, units[l] - 1)) for l in range(1, levels) for j in range(units[l - 1])
+    }
+    return HierarchyConfig(
+        units=tuple(units),
+        capacities=tuple(draw(st.integers(1, 3)) for _ in units),
+        parent=parent,
+        policy=draw(st.sampled_from(["inclusive", "exclusive"])),
+    )
+
+
+def reference_capacity_error(cfg, held, v, level, unit):
+    """The message placing v at the unit must raise, or None.
+
+    Occupancy by definition: after the placement, a unit holds the union of
+    the pebble sets of every unit in its subtree (inclusive) or its own set
+    (exclusive).  Only the units whose scope holds the placed pebble can go
+    over, one a level, and the lowest one is named.
+    """
+    after = {lu: set(vs) for lu, vs in held.items()}
+    after.setdefault((level, unit), set()).add(v)
+    for l in range(1, len(cfg.units) + 1):
+        for u in range(cfg.units[l - 1]):
+            scope = {(l, u)}
+            if cfg.policy == "inclusive":
+                for k in range(l - 1, 0, -1):
+                    scope |= {(k, j) for j in range(cfg.units[k - 1]) if (k + 1, cfg.parent[(k, j)]) in scope}
+            occupancy = len(set().union(*(after.get(lu, ()) for lu in scope)))
+            if occupancy > cfg.capacities[l - 1]:
+                return f"capacity {cfg.capacities[l - 1]} exceeded at level {l} unit {u}"
+    return None
+
+
+def likely_moves(game, held):
+    """Moves of every kind that mostly pass the rules other than capacity.
+
+    Built from the reference's pebbles and the game's blue set; Inputs of
+    the CDAG's inputs are always among them.
+    """
+    cfg, L, c = game.cfg, game.L, game.cdag
+    out = [PrbwMove("Input", v, unit=u) for u in range(cfg.units[-1]) for v in sorted(game.blue)]
+    for (l, u), vs in sorted(held.items()):
+        for v in sorted(vs):
+            out.append(PrbwMove("Delete", v, level=l, unit=u))
+            if l == L:
+                out.append(PrbwMove("Output", v, unit=u))
+                out += [PrbwMove("RemoteGet", v, unit=d, src_unit=u) for d in range(cfg.units[-1]) if d != u]
+            else:
+                out.append(PrbwMove("MoveDown", v, level=l + 1, unit=cfg.parent[(l, u)]))
+            if l > 1:
+                out += [PrbwMove("MoveUp", v, level=l - 1, unit=j) for j in cfg.children(l, u)]
+    for u in range(cfg.units[0]):
+        ready = [v for v in sorted(c.vertices - c.inputs) if c.preds[v] <= held.get((1, u), set())]
+        out += [PrbwMove("Compute", v, unit=u) for v in ready]
+    return out
+
+
+class TestPrbwCapacityReference:
+    @given(hierarchies(), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_capacity_matches_occupancy_by_definition(self, cfg, data):
+        c = make_cdag(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5)], inputs=[0, 1], outputs=[4, 5])
+        game = PrbwGame(c, cfg)
+        held: dict[tuple[int, int], set[int]] = {}  # the reference's own pebbles
+        for _ in range(data.draw(st.integers(10, 40))):
+            move = data.draw(st.sampled_from(likely_moves(game, held)))
+            v, unit = move.vertex, move.unit
+            level = 1 if move.kind == "Compute" else move.level or game.L
+            placing = move.kind not in ("Output", "Delete")
+            expected = reference_capacity_error(cfg, held, v, level, unit) if placing else None
+            try:
+                game.apply(move)
+                got = None
+            except GameError as err:
+                got = err.message
+            # capacity is the last rule a placement checks: a move that passes
+            # the others is accepted exactly when the reference accepts it
+            if got is None or got.startswith("capacity"):
+                assert got == expected, move
+            if got is None and placing:
+                held.setdefault((level, unit), set()).add(v)
+            elif got is None and move.kind == "Delete":
+                held[(level, unit)].discard(v)
+            assert {lu: vs for lu, vs in game.pebbles.items() if vs} == {lu: vs for lu, vs in held.items() if vs}
 
 
 class TestLabelsSurviveSurgery:
