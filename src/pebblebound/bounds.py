@@ -17,8 +17,9 @@ Four families live here:
 
 All values are exact Fractions except where a d-th root forces a float;
 a closed form whose float arithmetic leaves the float range raises
-BoundError.  Every lower bound clamps at zero.  The rules that carry a
-bound from sub-CDAGs or across hierarchy units live in :mod:`.reports`.
+BoundError.  Every lower bound is built by :func:`_lower`, which clamps it
+at zero.  The rules that carry a bound from sub-CDAGs or across hierarchy
+units live in :mod:`.reports`.
 """
 
 from __future__ import annotations
@@ -141,6 +142,20 @@ def require_S(S: int, method: str) -> None:
         raise BoundError(f"the {method} bound needs S >= 1")
 
 
+def _require_positive(**args: int) -> None:
+    """Raise BoundError naming the first argument below 1."""
+    for name, val in args.items():
+        if val < 1:
+            raise BoundError(f"{name} must be >= 1")
+
+
+def _lower(
+    method: str, value, symbolic: str, params: dict, asymptotic: Optional[str] = None
+) -> BoundReport:
+    """A lower bound by ``method``, clamped at zero."""
+    return BoundReport("lower", nonneg(value), method, symbolic, asymptotic, params)
+
+
 def spart_lower_bound(cdag: Cdag, S: int, umax: int) -> BoundReport:
     """Partition-counting bound: S * (|V - I| / umax - 1), clamped at zero.
 
@@ -153,14 +168,8 @@ def spart_lower_bound(cdag: Cdag, S: int, umax: int) -> BoundReport:
     if umax < 1:
         raise BoundError("umax must be >= 1")
     work = len(cdag.vertices - cdag.inputs)
-    value = nonneg(Fraction(S) * (Fraction(work, umax) - 1))
-    return BoundReport(
-        kind="lower",
-        value=value,
-        method="spart",
-        symbolic="S*(|V-I|/umax - 1)",
-        params={"S": S, "umax": umax, "work": work},
-    )
+    value = Fraction(S) * (Fraction(work, umax) - 1)
+    return _lower("spart", value, "S*(|V-I|/umax - 1)", {"S": S, "umax": umax, "work": work})
 
 
 def umax_bruteforce(cdag: Cdag, twoS: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -427,9 +436,7 @@ def wavefront_min(cdag: Cdag, x: int, stats: Optional[FlowStats] = None) -> Wave
         raise BoundError(
             f"wavefront construction bug: recovered cut {len(cut)} != flow {flow}"
         )
-    if flow == 0:
-        return Wavefront(x, frozenset(s_side), frozenset(t_side), frozenset({x}), 1)
-    return Wavefront(x, frozenset(s_side), frozenset(t_side), cut, flow)
+    return Wavefront(x, frozenset(s_side), frozenset(t_side), cut or frozenset({x}), flow or 1)
 
 
 def _check_anchor(cdag: Cdag, x: int) -> None:
@@ -520,13 +527,7 @@ def mincut_lower_bound(
     if cdag.inputs:
         raise BoundError("this bound needs an input-free CDAG; delete or untag inputs first")
     w = wmax(cdag, candidates, stats)
-    return BoundReport(
-        kind="lower",
-        value=nonneg(Fraction(2) * (w - S)),
-        method="mincut",
-        symbolic="2*(wmax - S)",
-        params={"S": S, "wmax": w},
-    )
+    return _lower("mincut", Fraction(2) * (w - S), "2*(wmax - S)", {"S": S, "wmax": w})
 
 
 def mincut_divide_bound(
@@ -556,13 +557,11 @@ def mincut_divide_bound(
         contribution = nonneg(Fraction(2) * (w - S))
         per_block.append(w)
         total += contribution
-    value = total + len(cdag.inputs | cdag.outputs)
-    return BoundReport(
-        kind="lower",
-        value=value,
-        method="mincut",
-        symbolic="sum_i 2*(wmax_i - S) + |I u O|",
-        params={"S": S, "blocks": len(partition.blocks), "wmax_per_block": tuple(per_block)},
+    return _lower(
+        "mincut",
+        total + len(cdag.inputs | cdag.outputs),
+        "sum_i 2*(wmax_i - S) + |I u O|",
+        {"S": S, "blocks": len(partition.blocks), "wmax_per_block": tuple(per_block)},
     )
 
 
@@ -579,23 +578,16 @@ def vertical_bound_spart(
     [|V| / (umax * N_l) - N_{l-1}/N_l] * S_{l-1}, clamped at zero; the
     report notes the usual approximation |V| * S / (umax * N_l).
     """
-    for name, val in (("v_size", v_size), ("umax_2s", umax_2s), ("n_l", n_l), ("n_lminus1", n_lminus1), ("s_lminus1", s_lminus1)):
-        if val < 1:
-            raise BoundError(f"{name} must be >= 1")
-    value = (Fraction(v_size, umax_2s * n_l) - Fraction(n_lminus1, n_l)) * s_lminus1
-    return BoundReport(
-        kind="lower",
-        value=nonneg(value),
-        method="spart",
-        symbolic="(|V|/(umax*N_l) - N_(l-1)/N_l) * S_(l-1)",
+    _require_positive(
+        v_size=v_size, umax_2s=umax_2s, n_l=n_l, n_lminus1=n_lminus1, s_lminus1=s_lminus1
+    )
+    return _lower(
+        "spart",
+        (Fraction(v_size, umax_2s * n_l) - Fraction(n_lminus1, n_l)) * s_lminus1,
+        "(|V|/(umax*N_l) - N_(l-1)/N_l) * S_(l-1)",
+        {"v_size": v_size, "umax": umax_2s, "n_l": n_l,
+         "n_lminus1": n_lminus1, "s_lminus1": s_lminus1},
         asymptotic="~ |V|*S_(l-1)/(umax*N_l)",
-        params={
-            "v_size": v_size,
-            "umax": umax_2s,
-            "n_l": n_l,
-            "n_lminus1": n_lminus1,
-            "s_lminus1": s_lminus1,
-        },
     )
 
 
@@ -605,16 +597,12 @@ def horizontal_bound_spart(v_size: int, umax_2sl: int, s_l: int, p_i: int) -> Bo
     (|V| / (umax * P_i) - 1) * S_L, clamped at zero, where P_i is the
     number of processor groups sharing one top-level unit.
     """
-    for name, val in (("v_size", v_size), ("umax_2sl", umax_2sl), ("s_l", s_l), ("p_i", p_i)):
-        if val < 1:
-            raise BoundError(f"{name} must be >= 1")
-    value = (Fraction(v_size, umax_2sl * p_i) - 1) * s_l
-    return BoundReport(
-        kind="lower",
-        value=nonneg(value),
-        method="spart",
-        symbolic="(|V|/(umax*P_i) - 1) * S_L",
-        params={"v_size": v_size, "umax": umax_2sl, "s_l": s_l, "p_i": p_i},
+    _require_positive(v_size=v_size, umax_2sl=umax_2sl, s_l=s_l, p_i=p_i)
+    return _lower(
+        "spart",
+        (Fraction(v_size, umax_2sl * p_i) - 1) * s_l,
+        "(|V|/(umax*P_i) - 1) * S_L",
+        {"v_size": v_size, "umax": umax_2sl, "s_l": s_l, "p_i": p_i},
     )
 
 
@@ -654,36 +642,36 @@ def analytic_lb(params: AlgorithmParams, P: int = 1, S: int = 0) -> BoundReport:
         raise BoundError("P must be >= 1 and S >= 0")
     algorithm, n, d, T, m = params.algorithm, params.n, params.d, params.T, params.m
     if algorithm == "cg":
-        value = nonneg(Fraction(T) * 2 * (3 * n**d - 2 * S) / P)
-        return BoundReport(
-            kind="lower", value=value, method="analytic",
-            symbolic="T*2*(3*n^d - 2S)/P",
+        return _lower(
+            "analytic",
+            Fraction(T) * 2 * (3 * n**d - 2 * S) / P,
+            "T*2*(3*n^d - 2S)/P",
+            {"n": n, "d": d, "T": T, "P": P, "S": S},
             asymptotic="6*n^d*T/P for n >> S",
-            params={"n": n, "d": d, "T": T, "P": P, "S": S},
         )
     if algorithm == "gmres":
-        value = nonneg(Fraction(m) * 2 * (3 * n**d - S) / P)
-        return BoundReport(
-            kind="lower", value=value, method="analytic",
-            symbolic="m*2*(3*n^d - S)/P",
+        return _lower(
+            "analytic",
+            Fraction(m) * 2 * (3 * n**d - S) / P,
+            "m*2*(3*n^d - S)/P",
+            {"n": n, "d": d, "m": m, "P": P, "S": S},
             asymptotic="6*n^d*m/P for n >> S",
-            params={"n": n, "d": d, "m": m, "P": P, "S": S},
         )
     if algorithm == "jacobi":
         require_S(S, "stencil")
-        value = nonneg(Fraction(n**d * T, 4 * P) / _real_root(2 * S, d))
-        return BoundReport(
-            kind="lower", value=value, method="analytic",
-            symbolic="n^d*T/(4*P*(2S)^(1/d))",
-            params={"n": n, "d": d, "T": T, "P": P, "S": S},
+        return _lower(
+            "analytic",
+            Fraction(n**d * T, 4 * P) / _real_root(2 * S, d),
+            "n^d*T/(4*P*(2S)^(1/d))",
+            {"n": n, "d": d, "T": T, "P": P, "S": S},
         )
     if algorithm == "matmul":
         require_S(S, "matmul")
-        value = nonneg(Fraction(n**3, 2) / _real_root(2 * S, 2))
-        return BoundReport(
-            kind="lower", value=value, method="analytic",
-            symbolic="N^3/(2*sqrt(2S))",
-            params={"N": n, "P": P, "S": S},
+        return _lower(
+            "analytic",
+            Fraction(n**3, 2) / _real_root(2 * S, 2),
+            "N^3/(2*sqrt(2S))",
+            {"N": n, "P": P, "S": S},
         )
     raise BoundError(f"no analytic lower bound for algorithm {algorithm!r}")
 
@@ -719,21 +707,21 @@ def analytic_horizontal_ub(params: AlgorithmParams, n_nodes: int) -> BoundReport
         raise BoundError("more nodes than grid blocks: block extent < 1")
     leading = float(2 * d * B ** (d - 1) * iters)
     if algorithm == "jacobi" and d == 2:
-        return BoundReport(
-            kind="upper",
-            value=4 * B * T,
-            method="analytic",
-            symbolic="4*B*T, B = n/n_nodes^(1/2)",
-            params={"n": n, "d": d, "T": T, "n_nodes": n_nodes,
-                    "B": float(B), "ghost": float(4 * B), "leading": leading},
-        )
-    ghost = (B + 2) ** d - B**d
+        ghost = 4 * B
+        symbolic = "4*B*T, B = n/n_nodes^(1/2)"
+        asymptotic = None
+        count = {"T": T}
+    else:
+        ghost = (B + 2) ** d - B**d
+        symbolic = "((B+2)^d - B^d) * iters, B = n/n_nodes^(1/d)"
+        asymptotic = f"O(2*d*B^(d-1)*iters) = {leading:.6g}"
+        count = {"iters": iters}
     return BoundReport(
         kind="upper",
         value=ghost * iters,
         method="analytic",
-        symbolic="((B+2)^d - B^d) * iters, B = n/n_nodes^(1/d)",
-        asymptotic=f"O(2*d*B^(d-1)*iters) = {leading:.6g}",
-        params={"n": n, "d": d, "iters": iters, "n_nodes": n_nodes,
+        symbolic=symbolic,
+        asymptotic=asymptotic,
+        params={"n": n, "d": d, **count, "n_nodes": n_nodes,
                 "B": float(B), "ghost": float(ghost), "leading": leading},
     )

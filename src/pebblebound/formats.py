@@ -407,6 +407,13 @@ def parse_machine(text: str):
 
 
 def format_machine(spec) -> str:
+    for what, name in (("machine", spec.name), *(("cache", c.name) for c in spec.caches)):
+        if not name or _has_space(name):
+            raise FormatError(f"{what} name {name!r} is empty or contains whitespace")
+    cache_names = [c.name for c in spec.caches]
+    for i, name in enumerate(cache_names):
+        if name in cache_names[:i]:
+            raise FormatError(f"cache {name!r} declared twice")
     out = [
         "machine 1",
         f"name {spec.name}",

@@ -473,6 +473,50 @@ class TestAnalyticForms:
             analytic_horizontal_ub(AlgorithmParams("matmul", n=2), n_nodes=5)
 
 
+VERTICAL_ARGS = {"v_size": 10, "umax_2s": 2, "n_l": 2, "n_lminus1": 4, "s_lminus1": 3}
+HORIZONTAL_ARGS = {"v_size": 10, "umax_2sl": 2, "s_l": 3, "p_i": 2}
+
+
+class TestArgumentMessages:
+    """The exact message of each argument check and S-partition violation."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: check_spartition(gen_chain(3).cdag, [], 2, mode="rb"), "unknown S-partition mode 'rb'"),
+            (
+                # five inputs feed one vertex: its in-set has size 5
+                lambda: check_spartition(make_cdag(6, [(i, 5) for i in range(5)], inputs=range(5)), [{5}], 2)[1],
+                "block 0 in/dominator set has size 5 > 2",
+            ),
+            (lambda: umax_bruteforce(gen_chain(3).cdag, -1), "twoS must be nonnegative"),
+            *(
+                (lambda name=name: vertical_bound_spart(**{**VERTICAL_ARGS, name: 0}), f"{name} must be >= 1")
+                for name in VERTICAL_ARGS
+            ),
+            *(
+                (lambda name=name: horizontal_bound_spart(**{**HORIZONTAL_ARGS, name: 0}), f"{name} must be >= 1")
+                for name in HORIZONTAL_ARGS
+            ),
+            (lambda: analytic_lb(AlgorithmParams("cg", n=4), P=0, S=1), "P must be >= 1 and S >= 0"),
+            (lambda: analytic_lb(AlgorithmParams("cg", n=4), P=1, S=-1), "P must be >= 1 and S >= 0"),
+            (lambda: analytic_horizontal_ub(AlgorithmParams("cg", n=4), n_nodes=0), "n_nodes must be >= 1"),
+        ],
+        ids=[
+            "spartition-mode", "spartition-in-set", "umax-twoS",
+            *(f"vertical-{name}" for name in VERTICAL_ARGS),
+            *(f"horizontal-{name}" for name in HORIZONTAL_ARGS),
+            "analytic-P", "analytic-S", "horizontal-ub-n_nodes",
+        ],
+    )
+    def test_message(self, call, message):
+        try:
+            messages = call()  # check_spartition's violations, when nothing raises
+        except BoundError as exc:
+            messages = [str(exc)]
+        assert message in messages
+
+
 class TestSPartitionChecker:
     def test_valid_rbw_partition(self):
         c = gen_chain(4).cdag

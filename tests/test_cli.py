@@ -148,6 +148,52 @@ class TestValidatePlayOracle:
         assert code == 1
         assert "step 2" in err and "level 1 unit 0" in err
 
+    def test_prbw_remote_get_counted_per_destination(self, tmp_path, capsys):
+        cdag = tmp_path / "c.cdag"
+        cdag.write_text("cdag 1\nv 0 in out\n", encoding="utf-8")
+        hier = tmp_path / "h.hier"
+        hier.write_text(
+            "hier 2\nlevel 1 units 2 cap 2\nlevel 2 units 2 cap 4\n"
+            "parent 1 0 0\nparent 1 1 1\npolicy inclusive\n",
+            encoding="utf-8",
+        )
+        trace = tmp_path / "t.trace"
+        trace.write_text("trace prbw 1\nR1 0 0\nR3 0 0 1\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            ["validate", "--cdag", str(cdag), "--trace", str(trace), "--hier", str(hier), "--kv"],
+            capsys,
+        )
+        assert code == 0
+        assert out == "game=prbw\nloads=1\nstores=0\nhorizontal.u1=1\n"
+
+
+class TestUsageErrors:
+    """A missing flag the chosen input or method needs: exit 1, one error line."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "c.cdag").write_text("cdag 1\nv 0 in\nv 1 out\ne 0 1\n", encoding="utf-8")
+        (tmp_path / "flat.trace").write_text("trace rbw 1\nR1 0\n", encoding="utf-8")
+        (tmp_path / "hier.trace").write_text("trace prbw 1\nR1 0 0\n", encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "--cdag", "c.cdag", "--trace", "hier.trace"], "hierarchical traces need --hier"),
+            (["validate", "--cdag", "c.cdag", "--trace", "flat.trace"], "flat traces need --S"),
+            (["bound", "--method", "analytic", "--S", "2"], "--method analytic needs --alg"),
+            (["bound", "--method", "spart", "--S", "2"], "--method spart needs --cdag"),
+            (["bound", "--method", "mincut", "--cdag", "c.cdag"], "--method mincut needs --S"),
+            (["bound", "--method", "mincut-divide", "--cdag", "c.cdag", "--S", "2"],
+             "--method mincut-divide needs --partition"),
+        ],
+    )
+    def test_exit_1_with_one_error_line(self, argv, message, files, monkeypatch, capsys):
+        monkeypatch.chdir(files)
+        code, out, err = run_cli(argv + ["--kv"], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestBoundAndAnalyze:
     def test_analytic_bound_emits_exact_and_asymptotic(self, capsys):

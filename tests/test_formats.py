@@ -332,6 +332,30 @@ class TestMachine:
             parse_machine("machine 1\nname x\n")
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"name": "blue gene"}, "machine name 'blue gene' is empty or contains whitespace"),
+            ({"name": ""}, "machine name '' is empty or contains whitespace"),
+            ({"name": "bg\tq"}, "machine name 'bg\\tq' is empty or contains whitespace"),
+            ({"caches": ("L 2",)}, "cache name 'L 2' is empty or contains whitespace"),
+            ({"caches": ("",)}, "cache name '' is empty or contains whitespace"),
+            ({"caches": ("L1", "L2", "L1")}, "cache 'L1' declared twice"),
+        ],
+        ids=["machine-space", "machine-empty", "machine-tab", "cache-space", "cache-empty", "cache-repeated"],
+    )
+    def test_unparsable_name_rejected(self, change, message):
+        import dataclasses
+
+        from pebblebound import load_machine
+
+        spec = load_machine("bgq")
+        if "caches" in change:
+            change = {"caches": tuple(dataclasses.replace(spec.caches[0], name=n) for n in change["caches"])}
+        with pytest.raises(FormatError) as exc:
+            format_machine(dataclasses.replace(spec, **change))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "record, message",
         [
             *((f"{key} 2", f"line 11: {key} declared twice")

@@ -422,6 +422,53 @@ class TestPrbwEdgeRules:
             validate_prbw(gen_chain(3).cdag, cfg, [PrbwMove("Input", 0, unit=units)])
 
 
+def _bad_config(**fields):
+    return HierarchyConfig(**{"units": (1, 1), "capacities": (2, 4), "parent": {(1, 0): 0}, **fields})
+
+
+class TestRuleViolationMessages:
+    """Each rule a checker enforces, named with its step, rule and vertex."""
+
+    @pytest.mark.parametrize(
+        "validate, config, trace, message",
+        [
+            (validate_rbw, 2, moves(("Input", 9)), "step 1 R1 vertex 9: unknown vertex"),
+            (validate_rbw, 2, moves(("Input", 0), ("Input", 1)), "step 2 R1 vertex 1: load requires a blue pebble"),
+            (validate_rb, 2, moves(("Output", 0)), "step 1 R2 vertex 0: store requires a red pebble"),
+            (validate_rbw, 2, moves(("Input", 0), ("Delete", 1)), "step 2 R4 vertex 1: no red pebble to delete"),
+            (validate_prbw, two_level_config(procs=1), [PrbwMove("Compute", 9, unit=0)],
+             "step 1 R6 vertex 9: unknown vertex"),
+            (validate_prbw, two_level_config(procs=1), [PrbwMove("Input", 1, unit=0)],
+             "step 1 R1 vertex 1: load requires a blue pebble"),
+            (validate_prbw, two_level_config(procs=1), [PrbwMove("Input", 0, unit=0), PrbwMove("Output", 1, unit=0)],
+             "step 2 R2 vertex 1: store requires a level-2 pebble in unit 0"),
+            (validate_prbw, two_node_config(), [PrbwMove("Input", 0, unit=1), PrbwMove("RemoteGet", 0, unit=1, src_unit=0)],
+             "step 2 R3 vertex 0: no level-2 pebble in source unit 0"),
+            (validate_prbw, two_level_config(procs=1), [PrbwMove("MoveUp", 0, level=1, unit=0)],
+             "step 1 R4 vertex 0: parent unit 0 at level 2 holds no pebble"),
+            (validate_prbw, two_level_config(procs=2), [PrbwMove("Input", 0, unit=0), PrbwMove("MoveDown", 0, level=2, unit=0)],
+             "step 2 R5 vertex 0: no child of level 2 unit 0 holds a pebble"),
+            (validate_prbw, two_level_config(procs=1), [PrbwMove("Compute", 0, unit=0)],
+             "step 1 R6 vertex 0: input vertices cannot fire"),
+            (validate_prbw, _bad_config(capacities=(2,)), [],
+             "invalid hierarchy: units/capacities must list one entry per level"),
+            (validate_prbw, _bad_config(policy="lru"), [], "invalid hierarchy: unknown policy 'lru'"),
+        ],
+        ids=[
+            "rbw-unknown-vertex", "rbw-load-without-blue", "rb-store-without-red", "rbw-delete-without-red",
+            "prbw-unknown-vertex", "prbw-load-without-blue", "prbw-store-without-level-L",
+            "prbw-remote-get-from-empty-unit", "prbw-move-up-from-empty-parent",
+            "prbw-move-down-from-empty-children", "prbw-input-fires",
+            "config-capacities-length", "config-unknown-policy",
+        ],
+    )
+    def test_message(self, validate, config, trace, message):
+        c = make_cdag(2, [(0, 1)], inputs=[0], outputs=[1])
+        with pytest.raises((GameError, CdagError)) as err:
+            validate(c, config, trace)
+        assert str(err.value) == message
+
+
 @st.composite
 def hierarchies(draw):
     """Memory trees of one to three levels, one to six units a level, either policy."""

@@ -1,7 +1,7 @@
 """Golden transcript of the README CLI tour.
 
 Runs the tour's commands (plus a few error paths) in a temporary directory
-and compares ``--kv`` stdout, the first stderr line, and the exit code of
+and compares ``--kv`` stdout, the last stderr line, and the exit code of
 each command byte for byte with ``tests/golden/readme_tour.txt``.  Any
 refactor that changes a rendered value, an error message, or an exit code
 fails here.
@@ -84,8 +84,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 def transcript() -> str:
     """Run the tour in a fresh directory and render the transcript."""
-    old_cwd, old_columns = os.getcwd(), os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
+    old_cwd = os.getcwd()
     blocks = []
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -93,14 +92,12 @@ def transcript() -> str:
             Path("free.cdag").write_text(FREE_CDAG, encoding="utf-8")
             for line in TOUR:
                 code, out, err = _run(line.split())
-                first_err = err.splitlines()[0] if err else ""
-                blocks.append(f"$ pebblebound {line}\nexit={code}\n{out}stderr={first_err}\n")
+                # the last line: an argparse error follows a usage line that
+                # each Python version wraps at its own width
+                last_err = err.splitlines()[-1] if err else ""
+                blocks.append(f"$ pebblebound {line}\nexit={code}\n{out}stderr={last_err}\n")
     finally:
         os.chdir(old_cwd)
-        if old_columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = old_columns
     return "\n".join(blocks)
 
 
