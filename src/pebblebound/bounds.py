@@ -249,10 +249,11 @@ class FlowStats:
     """Work counters of the wavefront layer; every count is deterministic.
 
     ``anchors`` counts the candidates :func:`wmax` was given, and
-    ``anchors_skipped`` those it settled by their ceiling alone.  ``flows``
-    counts max-flow runs, ``bfs_phases`` their level-graph searches (the
-    last one of each run finds no path) and ``augmentations`` the
-    augmenting paths pushed.
+    ``anchors_skipped`` those it settled without a flow, by a ceiling
+    alone; every other anchor had its minimum wavefront computed (by one
+    flow, or none for a sink).  ``flows`` counts max-flow runs,
+    ``bfs_phases`` their level-graph searches (the last one of each run
+    finds no path) and ``augmentations`` the augmenting paths pushed.
     """
 
     anchors: int = 0
@@ -263,23 +264,34 @@ class FlowStats:
 
 
 class _Dinic:
-    """Standard Dinic max-flow on an explicit adjacency structure.
+    """Standard Dinic max-flow on flat arc arrays.
 
-    After :meth:`max_flow`, ``level[v] >= 0`` exactly on the nodes its last
-    BFS reached: the source side of a minimum cut.  Work is counted in
+    Arc ``a`` runs to node ``head[a]`` with residual capacity ``cap[a]``;
+    arcs are added in pairs, so arc ``a ^ 1`` is the reverse of arc ``a``
+    and its head is ``a``'s tail.  ``adj[u]`` lists the ids of the arcs
+    leaving u.  After :meth:`max_flow`, ``level[v] >= 0`` exactly on the
+    nodes its last BFS reached: the nodes reachable from the source in the
+    residual graph, which is the source side of a minimum cut.  That set is
+    the same for every maximum flow, so the cut recovered from it does not
+    depend on which augmenting paths were taken.  Work is counted in
     ``stats``.
     """
 
     INF = 1 << 60
 
     def __init__(self, n: int, stats: Optional[FlowStats] = None):
-        self.graph: list[list[list[int]]] = [[] for _ in range(n)]
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
         self.level: list[int] = []
         self.stats = FlowStats() if stats is None else stats
 
     def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
+        a = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap, 0)
+        self.adj[u].append(a)
+        self.adj[v].append(a + 1)
 
     def max_flow(self, s: int, t: int) -> int:
         self.stats.flows += 1
@@ -292,60 +304,61 @@ class _Dinic:
             flow += self._blocking_flow(s, t, level)
 
     def _levels(self, s: int) -> list[int]:
-        from collections import deque
-
-        level = [-1] * len(self.graph)
+        adj, head, cap = self.adj, self.head, self.cap
+        level = [-1] * len(adj)
         level[s] = 0
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    dq.append(v)
+        queue = [s]
+        for u in queue:  # the queue grows while it is read
+            nxt = level[u] + 1
+            for a in adj[u]:
+                v = head[a]
+                if cap[a] and level[v] < 0:
+                    level[v] = nxt
+                    queue.append(v)
         return level
 
     def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
         """Augment along level-graph paths until none is left.
 
         Iterative, so path length is not limited by the recursion limit:
-        ``path`` holds the edges from s to the current node, an augmenting
-        path retreats to the tail of its first saturated edge, and a dead
-        end retreats one edge and skips it.
+        ``path`` holds the arcs from s to the current node, an augmenting
+        path retreats to the tail of its first saturated arc, and a dead
+        end retreats one arc and skips it.
         """
-        graph = self.graph
+        adj, head, cap = self.adj, self.head, self.cap
         stats = self.stats
-        it = [0] * len(graph)
-        path: list[list[int]] = []
+        it = [0] * len(adj)
+        path: list[int] = []
         flow = 0
         u = s
         while True:
             if u == t:
                 stats.augmentations += 1
-                pushed = min(edge[1] for edge in path)
-                for edge in path:
-                    edge[1] -= pushed
-                    graph[edge[0]][edge[2]][1] += pushed
+                pushed = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
                 flow += pushed
-                k = next(i for i, edge in enumerate(path) if edge[1] == 0)
+                k = next(i for i, a in enumerate(path) if not cap[a])
                 del path[k:]
-                u = path[-1][0] if path else s
+                u = head[path[-1]] if path else s
                 continue
-            adj = graph[u]
+            arcs = adj[u]
+            end = len(arcs)
             nxt = level[u] + 1
             i = it[u]
-            while i < len(adj):
-                edge = adj[i]
-                if edge[1] > 0 and level[edge[0]] == nxt:
+            while i < end:
+                a = arcs[i]
+                if cap[a] and level[head[a]] == nxt:
                     break
                 i += 1
             it[u] = i
-            if i < len(adj):
-                path.append(edge)
-                u = edge[0]
+            if i < end:
+                path.append(a)
+                u = head[a]
             elif path:
                 path.pop()
-                u = path[-1][0] if path else s
+                u = head[path[-1]] if path else s
                 it[u] += 1
             else:
                 return flow
@@ -398,8 +411,13 @@ def wavefront_min(cdag: Cdag, x: int, stats: Optional[FlowStats] = None) -> Wave
     ``stats`` to count the flow's work.
     """
     _check_anchor(cdag, x)
-    anc = cdag.ancestors(x)
-    desc = cdag.descendants(x)
+    return _wavefront(cdag, x, cdag.ancestors(x), cdag.descendants(x), stats)
+
+
+def _wavefront(
+    cdag: Cdag, x: int, anc: frozenset[int], desc: frozenset[int], stats: Optional[FlowStats]
+) -> Wavefront:
+    """:func:`wavefront_min` of a checked anchor, given its ancestors and descendants."""
     if not desc:
         return Wavefront(
             anchor=x,
@@ -465,46 +483,100 @@ def wmax(
     avoid one flow run per vertex on large graphs.  Pass ``stats`` to count
     the work.
 
-    An anchor is flowed only when a ceiling from two cuts says it could
-    beat the best wavefront found so far.  Any fired side that holds x and
-    its ancestors, holds no descendant of x and is closed under
-    predecessors is a valid cut (no edge runs back across it), so its
-    count of non-anchor vertices with a successor outside it bounds
-    ``wavefront_min(cdag, x).size`` from above, floor one aside.  Two such
-    sides cost one traversal each:
+    An anchor is flowed only when a ceiling says it could beat the best
+    wavefront found so far.  Any fired side that holds x and its
+    ancestors, holds no descendant of x and is closed under predecessors
+    is a valid cut (no edge runs back across it), so its count of
+    non-anchor vertices with a successor outside it bounds
+    ``wavefront_min(cdag, x).size`` from above, floor one aside.  Three
+    such sides give the ceilings used here:
 
+    * prefix: the vertices up to and including x in the CDAG's
+      ``topological_order``.  It holds anc(x), since an ancestor comes
+      before x; it excludes desc(x), since a descendant comes after x; and
+      it is closed under predecessors, since a predecessor comes before
+      its successor.  One sweep of the order, counting the vertices before
+      x that still have a successor at or after x, gives this ceiling for
+      every anchor at once;
     * early, ``{x} | anc(x)``: the ancestors with a successor outside it;
     * late, ``V - desc(x)``: the non-anchor vertices with a successor in
       ``desc(x)``.
 
-    Both are closed under predecessors: a predecessor of an ancestor is an
-    ancestor, and a predecessor of a non-descendant is a non-descendant.
-    The ceiling is ``max(1, min(early, late))``, and 1 when ``desc(x)`` is
-    empty.  Anchors are flowed in decreasing order of ceiling (lowest id
-    first among ties) until a ceiling is no larger than the best; no
-    remaining anchor can beat it, so the result is exact.
+    The early and late sides are closed under predecessors too: a
+    predecessor of an ancestor is an ancestor, and a predecessor of a
+    non-descendant is a non-descendant.  Each ceiling is floored at 1 and
+    is 1 when ``desc(x)`` is empty; ``max(1, min(early, late))`` is the
+    two-cut ceiling, which costs two traversals per anchor.
+
+    Refinement is lazy.  A max-heap holds every anchor keyed by its prefix
+    ceiling.  The top anchor, if its key is still the prefix ceiling, gets
+    the two-cut ceiling, its key becomes the smaller of the two, and it
+    goes back on the heap; a refined top anchor is flowed.  Ties pop the
+    lowest vertex id first.  The search stops once the top key is no
+    larger than the best wavefront.  Every key bounds its anchor's
+    wavefront from above and the top key bounds every key, so no anchor
+    left on the heap can beat the best, and the result is exact.
+
+    Both steps need the anchor's ancestors and descendants.  Only the top
+    anchor's are kept, so an anchor still on top after its refinement is
+    flowed without a second traversal, and memory holds one anchor's sets
+    however many anchors are refined.
     """
+    import heapq
+
     cand = sorted(cdag.vertices) if candidates is None else sorted(set(candidates))
     for x in cand:
         _check_anchor(cdag, x)
     stats = FlowStats() if stats is None else stats
     stats.anchors += len(cand)
+    stats.anchors_skipped += len(cand)
+    prefix = _prefix_ceilings(cdag) if cand else {}
+    heap = [(-prefix[x], x, False) for x in cand]  # (-key, anchor, refined)
+    heapq.heapify(heap)
+    cone = None  # the top anchor with its ancestors and descendants
     best = 0
-    order = sorted((-_wavefront_ceiling(cdag, x), x) for x in cand)
-    for k, (ceiling, x) in enumerate(order):
-        if -ceiling <= best:
-            stats.anchors_skipped += len(order) - k
-            break
-        best = max(best, wavefront_min(cdag, x, stats).size)
+    while heap and -heap[0][0] > best:
+        key, x, refined = heap[0]
+        if cone is None or cone[0] != x:
+            cone = x, cdag.ancestors(x), cdag.descendants(x)
+        if refined:
+            heapq.heappop(heap)
+            stats.anchors_skipped -= 1
+            best = max(best, _wavefront(cdag, *cone, stats).size)
+        else:
+            heapq.heapreplace(heap, (max(key, -_wavefront_ceiling(cdag, *cone)), x, True))
     return best
 
 
-def _wavefront_ceiling(cdag: Cdag, x: int) -> int:
-    """The two-cut ceiling on ``wavefront_min(cdag, x).size``; see :func:`wmax`."""
-    desc = cdag.descendants(x)
+def _prefix_ceilings(cdag: Cdag) -> dict[int, int]:
+    """The prefix ceiling of every vertex of an acyclic CDAG; see :func:`wmax`."""
+    left = {v: len(cdag.succs[v]) for v in cdag.vertices}  # successors not yet swept
+    live = 0  # swept vertices with a successor not yet swept
+    ceiling = {}
+    for x in cdag.topological_order:
+        for u in cdag.preds[x]:
+            left[u] -= 1
+            if not left[u]:
+                live -= 1
+        if left[x]:
+            ceiling[x] = max(1, live)
+            live += 1
+        else:
+            ceiling[x] = 1  # a sink
+    return ceiling
+
+
+def _wavefront_ceiling(
+    cdag: Cdag, x: int, anc: Optional[frozenset[int]] = None, desc: Optional[frozenset[int]] = None
+) -> int:
+    """The two-cut ceiling on ``wavefront_min(cdag, x).size``; see :func:`wmax`.
+
+    Pass x's ancestors and descendants when they are already known.
+    """
+    desc = cdag.descendants(x) if desc is None else desc
     if not desc:
         return 1
-    anc = cdag.ancestors(x)
+    anc = cdag.ancestors(x) if anc is None else anc
     fired = anc | {x}
     early = sum(1 for a in anc if not cdag.succs[a] <= fired)
     late = len({u for v in desc for u in cdag.preds[v]} - desc - {x})

@@ -304,6 +304,62 @@ class TestWmax:
         assert (stats.flows, stats.augmentations, w.size) == (1, 4, 4)
 
 
+GENERATED = [
+    AlgorithmParams("chain", n=7),
+    AlgorithmParams("outer_product", n=3),
+    AlgorithmParams("matmul", n=2),
+    AlgorithmParams("composite", n=2),
+    AlgorithmParams("cg", n=3, d=1, T=2),
+    AlgorithmParams("gmres", n=3, d=1, m=2),
+    AlgorithmParams("jacobi", n=4, d=2, T=2),
+]
+
+
+class TestLazyCeilings:
+    @staticmethod
+    def assert_prefix_ceiling_bounds_every_wavefront(c):
+        ceiling = bounds._prefix_ceilings(c)
+        assert set(ceiling) == c.vertices
+        for x in sorted(c.vertices):
+            assert ceiling[x] >= wavefront_min(c, x).size
+
+    def test_prefix_ceiling_bounds_every_wavefront_of_criterion_4(self):
+        for c in wavefront_fixtures():
+            self.assert_prefix_ceiling_bounds_every_wavefront(c)
+
+    @pytest.mark.parametrize("params", GENERATED, ids=lambda p: p.algorithm)
+    def test_prefix_ceiling_bounds_every_wavefront_on_generators(self, params):
+        self.assert_prefix_ceiling_bounds_every_wavefront(generate(params).cdag)
+
+    def test_prefix_ceiling_bounds_every_wavefront_on_random_dags(self):
+        rng = random.Random(20261019)
+        for _ in range(150):
+            c = random_dag(rng, rng.randint(1, 30), p=rng.uniform(0.05, 0.5))
+            self.assert_prefix_ceiling_bounds_every_wavefront(c)
+
+    def test_prefix_ceiling_of_a_sink_is_one(self):
+        # sources 0..3 feed the sinks 4 and 5; 2 and 3 are still live when 4 fires
+        c = make_cdag(6, [(0, 4), (1, 4), (2, 5), (3, 5)])
+        assert bounds._prefix_ceilings(c) == {0: 1, 1: 1, 2: 2, 3: 3, 4: 1, 5: 1}
+
+    def test_refines_fewer_anchors_than_it_is_given(self, monkeypatch):
+        calls = []
+        two_cut = bounds._wavefront_ceiling
+
+        def counting(cdag, x, *cone):
+            calls.append(x)
+            return two_cut(cdag, x, *cone)
+
+        monkeypatch.setattr(bounds, "_wavefront_ceiling", counting)
+        c = gen_cg(3, 1, 2).cdag
+        stats = FlowStats()
+        assert wmax(c, stats=stats) == naive_wmax(c)
+        assert len(set(calls)) == len(calls) < stats.anchors
+        # every flowed anchor was refined first, and nothing else was flowed
+        assert stats.flows <= len(calls)
+        assert stats.anchors_skipped == stats.anchors - stats.flows
+
+
 class TestWmaxFailures:
     CYCLIC = "cdag 1\nv 0\nv 1\nv 2\ne 0 1\ne 1 2\ne 2 1\n"
     CHAIN = "cdag 1\nv 0\nv 1\nv 2\ne 0 1\ne 1 2\n"

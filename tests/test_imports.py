@@ -61,7 +61,10 @@ ALG = ["--alg", "jacobi", "--n", "4", "--d", "1", "--T", "3"]
 NO_SOLVERS = {"oracle", "bounds", "balance", "generators"}
 NO_GAMES = {"games", "oracle", "balance", "generators"}
 COMMANDS = {
-    "generate": (["generate", *ALG, "--out", "gen.cdag", "--annotations", "gen.ann", "--kv"], {"games", "oracle"}),
+    "generate": (
+        ["generate", *ALG, "--out", "gen.cdag", "--annotations", "gen.ann", "--kv"],
+        {"games", "oracle", "bounds", "balance"},
+    ),
     "play": (["play", "--cdag", "jac.cdag", "--S", "4", "--trace-out", "play.trace", "--kv"], NO_SOLVERS),
     "validate": (["validate", "--cdag", "jac.cdag", "--trace", "jac.trace", "--S", "4", "--kv"], NO_SOLVERS),
     "oracle": (["oracle", "--cdag", "jac.cdag", "--S", "4", "--kv"], {"bounds", "balance", "generators"}),
