@@ -578,7 +578,7 @@ def _wavefront_ceiling(
         return 1
     anc = cdag.ancestors(x) if anc is None else anc
     fired = anc | {x}
-    early = sum(1 for a in anc if not cdag.succs[a] <= fired)
+    early = sum(1 for a in anc if any(w not in fired for w in cdag.succs[a]))
     late = len({u for v in desc for u in cdag.preds[v]} - desc - {x})
     return max(1, min(early, late))
 

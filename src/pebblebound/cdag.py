@@ -27,14 +27,39 @@ VertexId = int
 Edge = tuple[int, int]
 
 
+def _is_id(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _plain_pairs(edges: Iterable[Edge], vertices: frozenset[int]) -> bool:
+    """Whether every edge is a pair of plain ``int`` ids from ``vertices``."""
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int or u not in vertices or v not in vertices:
+            return False
+    return True
+
+
+def _reject_edge(vertices: frozenset[int], edges: Iterable[Edge]) -> None:
+    """Raise for the first edge that is not a new pair of known vertex ids."""
+    seen = set()
+    for u, v in edges:
+        if not (_is_id(u) and _is_id(v)):
+            raise CdagError(f"edge ({u!r}, {v!r}) endpoints must be integer vertex ids")
+        if u not in vertices or v not in vertices:
+            raise CdagError(f"edge ({u}, {v}) references unknown vertex")
+        if (u, v) in seen:
+            raise CdagError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+
+
 @dataclass(frozen=True)
 class Cdag:
     """Directed graph with designated input and output vertex sets.
 
     Use :meth:`build` rather than the raw constructor: it normalises the
     containers and rejects nonsense (unknown endpoints, duplicate edges,
-    negative ids).  Cycles are representable on purpose so that
-    :meth:`validate` can report them as violations.
+    ids that are negative or not integers).  Cycles are representable on
+    purpose so that :meth:`validate` can report them as violations.
     """
 
     vertices: frozenset[int]
@@ -53,17 +78,14 @@ class Cdag:
         labels: Optional[Mapping[int, str]] = None,
     ) -> "Cdag":
         vs = frozenset(vertices)
-        for v in vs:
-            if not isinstance(v, int) or v < 0:
-                raise CdagError(f"vertex ids must be nonnegative integers, got {v!r}")
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        seen = set()
-        for u, v in edge_list:
-            if u not in vs or v not in vs:
-                raise CdagError(f"edge ({u}, {v}) references unknown vertex")
-            if (u, v) in seen:
-                raise CdagError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        kinds = set(map(type, vs))
+        if bool in kinds or not all(issubclass(t, int) for t in kinds) or min(vs, default=0) < 0:
+            bad = next(v for v in vs if not _is_id(v) or v < 0)
+            raise CdagError(f"vertex ids must be nonnegative integers, got {bad!r}")
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        es = frozenset(edges)
+        if len(es) != len(edges) or not _plain_pairs(es, vs):
+            _reject_edge(vs, edges)  # only a failing CDAG pays for naming its first bad edge
         ins = frozenset(inputs)
         outs = frozenset(outputs)
         if not ins <= vs:
@@ -75,23 +97,25 @@ class Cdag:
             if bad:
                 raise CdagError(f"labels reference unknown vertices: {sorted(bad)}")
             labels = dict(labels) or None  # an empty map and no map are one CDAG
-        return cls(vs, frozenset(seen), ins, outs, labels)
+        return cls(vs, es, ins, outs, labels)
 
     # -- derived structure -------------------------------------------------
 
     @cached_property
-    def preds(self) -> dict[int, frozenset[int]]:
-        acc: dict[int, set[int]] = {v: set() for v in self.vertices}
+    def preds(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's predecessors, ascending."""
+        acc: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
-            acc[v].add(u)
-        return {v: frozenset(s) for v, s in acc.items()}
+            acc[v].append(u)
+        return {v: tuple(sorted(s)) for v, s in acc.items()}
 
     @cached_property
-    def succs(self) -> dict[int, frozenset[int]]:
-        acc: dict[int, set[int]] = {v: set() for v in self.vertices}
+    def succs(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's successors, ascending."""
+        acc: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
-            acc[u].add(v)
-        return {v: frozenset(s) for v, s in acc.items()}
+            acc[u].append(v)
+        return {v: tuple(sorted(s)) for v, s in acc.items()}
 
     def in_degree(self, v: int) -> int:
         return len(self.preds[v])
@@ -134,7 +158,7 @@ class Cdag:
         """All proper descendants of v (vertices reachable from v)."""
         return self._reach(v, self.succs)
 
-    def _reach(self, v: int, adj: Mapping[int, frozenset[int]]) -> frozenset[int]:
+    def _reach(self, v: int, adj: Mapping[int, tuple[int, ...]]) -> frozenset[int]:
         if v not in self.vertices:
             raise CdagError(f"unknown vertex {v}")
         seen: set[int] = set()
@@ -203,7 +227,7 @@ class Cdag:
         for root in sorted(self.vertices):
             if color[root] != 0:
                 continue
-            stack = [(root, iter(sorted(self.succs[root])))]
+            stack = [(root, iter(self.succs[root]))]
             color[root] = 1
             while stack:
                 v, it = stack[-1]
@@ -212,7 +236,7 @@ class Cdag:
                     if color[w] == 0:
                         color[w] = 1
                         parent[w] = v
-                        stack.append((w, iter(sorted(self.succs[w]))))
+                        stack.append((w, iter(self.succs[w])))
                         advanced = True
                         break
                     if color[w] == 1:
@@ -361,7 +385,7 @@ def check_split_side_conditions(cdag: Cdag, x: int, dx: Iterable[int]) -> list[s
     rest = cdag.vertices - dset - {x}
     violations = []
     for u in sorted(dset):
-        for w in sorted(cdag.succs[u]):
+        for w in cdag.succs[u]:
             if w in rest:
                 violations.append(f"edge {u}->{w} leaves the detached set without passing through {x}")
     return violations

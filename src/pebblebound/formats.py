@@ -61,11 +61,13 @@ def _has_space(tok: str) -> bool:
 
 
 def _expect_header(text: str, expected: tuple[str, ...]):
-    rows = list(_lines(text))
-    if not rows or tuple(rows[0][1]) != expected:
+    """The rows after the header line, read one at a time."""
+    rows = _lines(text)
+    header = next(rows, None)
+    if header is None or tuple(header[1]) != expected:
         want = " ".join(expected)
         raise FormatError(f"missing or bad header line, expected {want!r}")
-    return rows[1:]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +86,7 @@ def parse_cdag(text: str) -> Cdag:
         e 0 1
     """
     rows = _expect_header(text, ("cdag", "1"))
-    vertices: list[int] = []
+    ids: dict[str, int] = {}  # declared token -> its id, so edges share the vertex's int
     seen: set[int] = set()
     edges: list[tuple[int, int]] = []
     inputs: set[int] = set()
@@ -98,7 +100,7 @@ def parse_cdag(text: str) -> Cdag:
             if vid in seen:
                 raise FormatError(f"line {lineno}: vertex {vid} declared twice")
             seen.add(vid)
-            vertices.append(vid)
+            ids[toks[1]] = vid
             for tok in toks[2:]:
                 if tok == "in":
                     inputs.add(vid)
@@ -111,15 +113,16 @@ def parse_cdag(text: str) -> Cdag:
         elif toks[0] == "e":
             if len(toks) != 3:
                 raise FormatError(f"line {lineno}: edge line needs exactly two ids")
-            src = _int(toks[1], lineno)
-            dst = _int(toks[2], lineno)
-            if src not in seen or dst not in seen:
-                raise FormatError(f"line {lineno}: edge references undeclared vertex")
+            src, dst = ids.get(toks[1]), ids.get(toks[2])
+            if src is None or dst is None:  # undeclared, or not written as declared
+                src, dst = _int(toks[1], lineno), _int(toks[2], lineno)
+                if src not in seen or dst not in seen:
+                    raise FormatError(f"line {lineno}: edge references undeclared vertex")
             edges.append((src, dst))
         else:
             raise FormatError(f"line {lineno}: unknown record {toks[0]!r}")
     try:
-        return Cdag.build(vertices, edges, inputs, outputs, labels or None)
+        return Cdag.build(seen, edges, inputs, outputs, labels or None)
     except Exception as exc:
         raise FormatError(f"invalid CDAG: {exc}") from exc
 
@@ -207,14 +210,15 @@ def format_annotations(ann: Annotations) -> str:
 
 def parse_trace(text: str):
     """Parse a trace file; returns ("rbw", [RbwMove]) or ("prbw", [PrbwMove])."""
-    rows = list(_lines(text))
-    if not rows:
+    rows = _lines(text)
+    first = next(rows, None)
+    if first is None:
         raise FormatError("missing trace header")
-    header = rows[0][1]
+    header = first[1]
     if header == ["trace", "rbw", "1"]:
-        return "rbw", _parse_rbw_moves(rows[1:])
+        return "rbw", _parse_rbw_moves(rows)
     if header == ["trace", "prbw", "1"]:
-        return "prbw", _parse_prbw_moves(rows[1:])
+        return "prbw", _parse_prbw_moves(rows)
     raise FormatError(f"bad trace header: {' '.join(header)!r}")
 
 

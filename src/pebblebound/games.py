@@ -220,9 +220,9 @@ class FlatGame:
                 raise GameError("input vertices cannot fire", vertex=v)
             if not self.recompute and v in self.white:
                 raise GameError("recomputation forbidden", vertex=v)
-            missing = self.cdag.preds[v] - self.red
+            missing = [u for u in self.cdag.preds[v] if u not in self.red]
             if missing:
-                raise GameError(f"predecessors without red pebbles: {sorted(missing)}", vertex=v)
+                raise GameError(f"predecessors without red pebbles: {missing}", vertex=v)
             self._place(v)
             self.white.add(v)
         elif move.kind == "Delete":
@@ -239,7 +239,7 @@ class FlatGame:
 
     def finish(self) -> IoTally:
         if not self.recompute:
-            unfired = sorted(set(self.cdag.vertices) - self.white)
+            unfired = sorted(self.cdag.vertices - self.white)
             if unfired:
                 raise GameError(f"vertices never fired/loaded: {unfired}")
         if not self.cdag.outputs <= self.blue:
@@ -386,9 +386,10 @@ class PrbwGame:
                 raise GameError("input vertices cannot fire", vertex=v)
             if v in self.white:
                 raise GameError("recomputation forbidden", vertex=v)
-            missing = self.cdag.preds[v] - self._held(1, proc)
+            held = self._held(1, proc)
+            missing = [u for u in self.cdag.preds[v] if u not in held]
             if missing:
-                raise GameError(f"predecessors not in processor {proc} registers: {sorted(missing)}", vertex=v)
+                raise GameError(f"predecessors not in processor {proc} registers: {missing}", vertex=v)
             self._place(v, 1, proc)
             self.white.add(v)
             self.tally.computes[proc] = self.tally.computes.get(proc, 0) + 1
@@ -514,8 +515,8 @@ def heuristic_game(cdag: Cdag, S: int) -> tuple[list[RbwMove], IoTally]:
                 v = bucket[0]
                 break
         del missing[v]
-        pinned = red & preds[v]
-        for p in sorted(preds[v] - red):
+        pinned = {p for p in preds[v] if p in red}
+        for p in [p for p in preds[v] if p not in red]:
             make_room(pinned)
             trace.append(RbwMove("Input", p))
             red.add(p)
@@ -531,7 +532,7 @@ def heuristic_game(cdag: Cdag, S: int) -> tuple[list[RbwMove], IoTally]:
         for w in succs[v]:
             waiting[w] -= 1
             if waiting[w] == 0:
-                missing[w] = off_red = len(preds[w] - red)
+                missing[w] = off_red = sum(p not in red for p in preds[w])
                 heapq.heappush(buckets[off_red], w)
 
     for o in sorted(outputs - blue):

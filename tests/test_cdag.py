@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebblebound import (
     Cdag,
@@ -29,6 +31,44 @@ class TestBuild:
     def test_rejects_unknown_tags(self):
         with pytest.raises(CdagError, match="input"):
             Cdag.build([0], [], inputs=[3])
+
+    def test_rejects_float_edge_endpoint(self):
+        # int() would truncate 0.9 to vertex 0 and build the edge (0, 1)
+        with pytest.raises(CdagError) as err:
+            Cdag.build([0, 1], [(0.9, 1)])
+        assert str(err.value) == "edge (0.9, 1) endpoints must be integer vertex ids"
+
+    def test_rejects_string_edge_endpoints(self):
+        with pytest.raises(CdagError) as err:
+            Cdag.build([0, 1], [("0", "1")])
+        assert str(err.value) == "edge ('0', '1') endpoints must be integer vertex ids"
+
+    def test_rejects_bool_ids(self):
+        # True == 1, but format_cdag would write it as "v True", which parse_cdag rejects
+        with pytest.raises(CdagError, match="vertex ids must be nonnegative integers, got True"):
+            Cdag.build([True, 2], [(True, 2)])
+        with pytest.raises(CdagError, match="endpoints must be integer vertex ids"):
+            Cdag.build([1, 2], [(True, 2)])
+
+    def test_names_the_first_bad_edge_in_the_callers_order(self):
+        with pytest.raises(CdagError, match=r"^duplicate edge \(2, 0\)$"):
+            Cdag.build(range(3), [(1, 0), (2, 0), (1, 2), (2, 0), (1, 0)])
+        with pytest.raises(CdagError, match=r"^edge \(5, 0\) references unknown vertex$"):
+            Cdag.build(range(3), [(1, 0), (5, 0), (0, 9)])
+
+
+class TestAdjacency:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_preds_and_succs_are_the_ascending_edge_ends(self, data):
+        ids = data.draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=10, unique=True))
+        pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]  # forward in draw order
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        c = Cdag.build(ids, edges)
+        assert set(c.preds) == set(c.succs) == set(ids)
+        for v in ids:
+            assert c.preds[v] == tuple(sorted(u for u, w in c.edges if w == v))
+            assert c.succs[v] == tuple(sorted(w for u, w in c.edges if u == v))
 
 
 class TestValidate:

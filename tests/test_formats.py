@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,12 +78,76 @@ class TestCdagFormat:
             format_cdag(c)
         assert str(exc.value) == f"label for vertex 0 contains whitespace: {label!r}"
 
+    @pytest.mark.parametrize("tok", ["007", "+7", "\u0667"])  # the last is ARABIC-INDIC DIGIT SEVEN
+    def test_ids_read_by_value_whatever_their_spelling(self, tok):
+        canonical = parse_cdag("cdag 1\nv 3 in\nv 7 out\ne 3 7\n")
+        assert parse_cdag(f"cdag 1\nv 3 in\nv 7 out\ne 3 {tok}\n") == canonical
+        assert parse_cdag(f"cdag 1\nv 3 in\nv {tok} out\ne 3 7\n") == canonical
+        assert parse_cdag(f"cdag 1\nv {tok} out\nv 3 in\ne 3 {tok}\n") == canonical
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ("e 3 008", "line 4: edge references undeclared vertex"),
+            ("e +8 3", "line 4: edge references undeclared vertex"),
+            ("e 3 x7", "line 4: expected integer, got 'x7'"),
+            ("e 7.0 3", "line 4: expected integer, got '7.0'"),
+        ],
+    )
+    def test_edge_id_errors_whatever_their_spelling(self, edge, message):
+        with pytest.raises(FormatError) as err:
+            parse_cdag(f"cdag 1\nv 3\nv 7\n{edge}\n")
+        assert str(err.value) == message
+
     def test_empty_label_map_is_no_map(self):
         # a map without entries writes nothing, so it reads back as no map
         labelled = Cdag.build([0, 1], [(0, 1)], [0], [1], labels={0: "x"})
         for c in (Cdag.build([0, 1], [(0, 1)], [0], [1], labels={}), labelled.induced({1})):
             assert c.labels is None
             assert parse_cdag(format_cdag(c)) == c
+
+
+def _traced(make):
+    """``make()``, the bytes it left allocated, and its peak above the start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = make()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, size - base, peak - base
+
+
+class TestMemory:
+    """Allocation guards on one generated stencil (V=1024, E=6348).
+
+    The parsers stream their rows and the CDAG keeps one edge container,
+    so a parse peaks at a small multiple of what it returns; the adjacency
+    is a tuple per vertex.
+    """
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        cdag = gen_jacobi(16, 2, 4).cdag
+        return format_cdag(cdag), format_trace("rbw", heuristic_game(cdag, 10)[0])
+
+    def test_parse_cdag_peak(self, texts):
+        _, size, peak = _traced(lambda: parse_cdag(texts[0]))
+        assert peak <= 2.5 * size
+
+    def test_parse_trace_peak(self, texts):
+        _, size, peak = _traced(lambda: parse_trace(texts[1]))
+        assert peak <= 2 * size
+
+    def test_adjacency_size(self, texts):
+        cdag, size, _ = _traced(lambda: parse_cdag(texts[0]))
+        _, adjacency, _ = _traced(lambda: (cdag.preds, cdag.succs))
+        assert adjacency <= 0.5 * size
 
 
 class TestAnnotations:

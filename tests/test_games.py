@@ -528,7 +528,7 @@ def likely_moves(game, held):
             if l > 1:
                 out += [PrbwMove("MoveUp", v, level=l - 1, unit=j) for j in cfg.children(l, u)]
     for u in range(cfg.units[0]):
-        ready = [v for v in sorted(c.vertices - c.inputs) if c.preds[v] <= held.get((1, u), set())]
+        ready = [v for v in sorted(c.vertices - c.inputs) if held.get((1, u), set()).issuperset(c.preds[v])]
         out += [PrbwMove("Compute", v, unit=u) for v in ready]
     return out
 

@@ -365,7 +365,7 @@ def naive_rbw_optimum(cdag, S):
                 push((white | {v}, red | {v}, blue), 1)
             if v in red and v not in blue:
                 push((white, red, blue | {v}), 1)
-            if v not in white and v not in inputs and cdag.preds[v] <= red and len(red) < S:
+            if v not in white and v not in inputs and red.issuperset(cdag.preds[v]) and len(red) < S:
                 push((white | {v}, red | {v}, blue), 0)
             if v in red:
                 push((white, red - {v}, blue), 0)
@@ -409,7 +409,7 @@ def naive_rb_optimum(cdag, S):
                 push((red | {v}, blue), 1)
             if v in red and v not in blue:
                 push((red, blue | {v}), 1)
-            if v not in red and v not in inputs and cdag.preds[v] <= red and len(red) < S:
+            if v not in red and v not in inputs and red.issuperset(cdag.preds[v]) and len(red) < S:
                 push((red | {v}, blue), 0)
             if v in red:
                 push((red - {v}, blue), 0)

@@ -125,10 +125,10 @@ def reference_moves(cdag: Cdag, S: int) -> list[RbwMove]:
 
     unfired = set(cdag.vertices)
     while unfired:
-        ready = [v for v in unfired if cdag.preds[v] <= white]
-        v = min(ready, key=lambda u: (len(cdag.preds[u] - red), u))
-        pinned = cdag.preds[v] & red
-        for p in sorted(cdag.preds[v] - red):
+        ready = [v for v in unfired if white.issuperset(cdag.preds[v])]
+        v = min(ready, key=lambda u: (len(set(cdag.preds[u]) - red), u))
+        pinned = set(cdag.preds[v]) & red
+        for p in sorted(set(cdag.preds[v]) - red):
             make_room(pinned)
             trace.append(RbwMove("Input", p))
             red.add(p)
