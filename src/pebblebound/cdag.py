@@ -27,29 +27,14 @@ VertexId = int
 Edge = tuple[int, int]
 
 
-def _is_id(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _plain_pairs(edges: Iterable[Edge], vertices: frozenset[int]) -> bool:
-    """Whether every edge is a pair of plain ``int`` ids from ``vertices``."""
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int or u not in vertices or v not in vertices:
-            return False
-    return True
-
-
-def _reject_edge(vertices: frozenset[int], edges: Iterable[Edge]) -> None:
-    """Raise for the first edge that is not a new pair of known vertex ids."""
+def _first_repeat(edges: Iterable[Edge]) -> Edge:
+    """The first edge that ``edges`` lists a second time."""
     seen = set()
-    for u, v in edges:
-        if not (_is_id(u) and _is_id(v)):
-            raise CdagError(f"edge ({u!r}, {v!r}) endpoints must be integer vertex ids")
-        if u not in vertices or v not in vertices:
-            raise CdagError(f"edge ({u}, {v}) references unknown vertex")
-        if (u, v) in seen:
-            raise CdagError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
+    for e in edges:
+        if e in seen:
+            return e
+        seen.add(e)
+    raise AssertionError("no repeated edge")
 
 
 @dataclass(frozen=True)
@@ -58,7 +43,7 @@ class Cdag:
 
     Use :meth:`build` rather than the raw constructor: it normalises the
     containers and rejects nonsense (unknown endpoints, duplicate edges,
-    ids that are negative or not integers).  Cycles are representable on
+    ids that are negative or not plain ``int``).  Cycles are representable on
     purpose so that :meth:`validate` can report them as violations.
     """
 
@@ -78,14 +63,23 @@ class Cdag:
         labels: Optional[Mapping[int, str]] = None,
     ) -> "Cdag":
         vs = frozenset(vertices)
-        kinds = set(map(type, vs))
-        if bool in kinds or not all(issubclass(t, int) for t in kinds) or min(vs, default=0) < 0:
-            bad = next(v for v in vs if not _is_id(v) or v < 0)
-            raise CdagError(f"vertex ids must be nonnegative integers, got {bad!r}")
+        for v in vs:  # an id is a plain int: True == 1 and 1.0 == 1, but neither reads back
+            if type(v) is not int or v < 0:
+                raise CdagError(f"vertex ids must be nonnegative integers, got {v!r}")
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)
-        es = frozenset(edges)
-        if len(es) != len(edges) or not _plain_pairs(es, vs):
-            _reject_edge(vs, edges)  # only a failing CDAG pays for naming its first bad edge
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise CdagError(f"edge ({u!r}, {v!r}) endpoints must be integer vertex ids")
+            if u not in vs or v not in vs:
+                raise CdagError(f"edge ({u}, {v}) references unknown vertex")
+        try:
+            es = frozenset(edges)
+        except TypeError:  # pairs given as lists, as json.load reads them
+            edges = [tuple(e) for e in edges]
+            es = frozenset(edges)
+        if len(es) != len(edges):
+            u, v = _first_repeat(edges)
+            raise CdagError(f"duplicate edge ({u}, {v})")
         ins = frozenset(inputs)
         outs = frozenset(outputs)
         if not ins <= vs:

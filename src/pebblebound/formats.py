@@ -86,8 +86,7 @@ def parse_cdag(text: str) -> Cdag:
         e 0 1
     """
     rows = _expect_header(text, ("cdag", "1"))
-    ids: dict[str, int] = {}  # declared token -> its id, so edges share the vertex's int
-    seen: set[int] = set()
+    declared: dict[int, int] = {}  # id -> the declared int, so edges share the vertex's int
     edges: list[tuple[int, int]] = []
     inputs: set[int] = set()
     outputs: set[int] = set()
@@ -97,10 +96,9 @@ def parse_cdag(text: str) -> Cdag:
             if len(toks) < 2:
                 raise FormatError(f"line {lineno}: vertex line needs an id")
             vid = _int(toks[1], lineno, "vertex id")
-            if vid in seen:
+            if vid in declared:
                 raise FormatError(f"line {lineno}: vertex {vid} declared twice")
-            seen.add(vid)
-            ids[toks[1]] = vid
+            declared[vid] = vid
             for tok in toks[2:]:
                 if tok == "in":
                     inputs.add(vid)
@@ -113,16 +111,15 @@ def parse_cdag(text: str) -> Cdag:
         elif toks[0] == "e":
             if len(toks) != 3:
                 raise FormatError(f"line {lineno}: edge line needs exactly two ids")
-            src, dst = ids.get(toks[1]), ids.get(toks[2])
-            if src is None or dst is None:  # undeclared, or not written as declared
-                src, dst = _int(toks[1], lineno), _int(toks[2], lineno)
-                if src not in seen or dst not in seen:
-                    raise FormatError(f"line {lineno}: edge references undeclared vertex")
+            src = declared.get(_int(toks[1], lineno))
+            dst = declared.get(_int(toks[2], lineno))
+            if src is None or dst is None:
+                raise FormatError(f"line {lineno}: edge references undeclared vertex")
             edges.append((src, dst))
         else:
             raise FormatError(f"line {lineno}: unknown record {toks[0]!r}")
     try:
-        return Cdag.build(seen, edges, inputs, outputs, labels or None)
+        return Cdag.build(declared, edges, inputs, outputs, labels or None)
     except Exception as exc:
         raise FormatError(f"invalid CDAG: {exc}") from exc
 

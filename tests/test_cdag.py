@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,27 @@ class TestBuild:
             Cdag.build([True, 2], [(True, 2)])
         with pytest.raises(CdagError, match="endpoints must be integer vertex ids"):
             Cdag.build([1, 2], [(True, 2)])
+
+    def test_rejects_int_subclass_ids(self):
+        # an id is a plain int, as an edge endpoint and as a vertex alike
+        class Id(enum.IntEnum):
+            A = 0
+            B = 1
+
+        with pytest.raises(CdagError, match=r"^edge \(<Id.A: 0>, 1\) endpoints must be integer vertex ids$"):
+            Cdag.build([0, 1], [(Id.A, 1)])
+        with pytest.raises(CdagError, match="vertex ids must be nonnegative integers, got <Id.B: 1>"):
+            Cdag.build([0, Id.B])
+
+    def test_accepts_edges_given_as_lists(self):
+        # the shape json.load gives; the CDAG stores tuples
+        c = Cdag.build([0, 1, 2], [[0, 1], [1, 2]])
+        assert c == Cdag.build([0, 1, 2], [(0, 1), (1, 2)])
+        assert all(type(e) is tuple for e in c.edges)
+        with pytest.raises(CdagError, match=r"^duplicate edge \(0, 1\)$"):
+            Cdag.build([0, 1], [[0, 1], (0, 1)])
+        with pytest.raises(CdagError, match=r"^edge \(\[0\], 1\) endpoints must be integer vertex ids$"):
+            Cdag.build([0, 1], [[[0], 1]])
 
     def test_names_the_first_bad_edge_in_the_callers_order(self):
         with pytest.raises(CdagError, match=r"^duplicate edge \(2, 0\)$"):
