@@ -566,17 +566,10 @@ def _prefix_ceilings(cdag: Cdag) -> dict[int, int]:
     return ceiling
 
 
-def _wavefront_ceiling(
-    cdag: Cdag, x: int, anc: Optional[frozenset[int]] = None, desc: Optional[frozenset[int]] = None
-) -> int:
-    """The two-cut ceiling on ``wavefront_min(cdag, x).size``; see :func:`wmax`.
-
-    Pass x's ancestors and descendants when they are already known.
-    """
-    desc = cdag.descendants(x) if desc is None else desc
+def _wavefront_ceiling(cdag: Cdag, x: int, anc: frozenset[int], desc: frozenset[int]) -> int:
+    """The two-cut ceiling on ``wavefront_min(cdag, x).size``; see :func:`wmax`."""
     if not desc:
         return 1
-    anc = cdag.ancestors(x) if anc is None else anc
     fired = anc | {x}
     early = sum(1 for a in anc if any(w not in fired for w in cdag.succs[a]))
     late = len({u for v in desc for u in cdag.preds[v]} - desc - {x})
@@ -608,27 +601,22 @@ def mincut_divide_bound(
     """Divide-and-conquer wavefront bound over a disjoint partition.
 
     Each block is induced, stripped of its global inputs and outputs, and
-    charged 2 * (wmax_i - S); the stripped input/output vertices are worth
+    charged the :func:`mincut_lower_bound` of that input-free core,
+    max(0, 2 * (wmax_i - S)); the stripped input/output vertices are worth
     one transfer apiece, adding |I u O| (the union): a vertex tagged both
     input and output is already blue, so its load is its only transfer.
-    ``stats`` is passed to every block's :func:`wmax`.
+    ``stats`` is passed to every block's bound.
     """
     require_S(S, "mincut-divide")
     violations = partition.validate(cdag)
     if violations:
         raise BoundError("invalid partition: " + "; ".join(violations))
-    total = Fraction(0)
-    per_block = []
+    total, per_block = Fraction(0), []
     for blk in partition.blocks:
-        # untagged: the block minus the global inputs and outputs
-        core = cdag.induced(blk - cdag.inputs - cdag.outputs)
-        if not core.vertices:
-            per_block.append(0)
-            continue
-        w = wmax(core, stats=stats)
-        contribution = nonneg(Fraction(2) * (w - S))
-        per_block.append(w)
-        total += contribution
+        # the block minus the global inputs and outputs: an input-free core
+        term = mincut_lower_bound(cdag.induced(blk - cdag.inputs - cdag.outputs), S, stats=stats)
+        total += term.value
+        per_block.append(term.params["wmax"])
     return _lower(
         "mincut",
         total + len(cdag.inputs | cdag.outputs),

@@ -90,6 +90,9 @@ class Cdag:
             bad = set(labels) - vs
             if bad:
                 raise CdagError(f"labels reference unknown vertices: {sorted(bad)}")
+            for v, label in labels.items():  # None or 5 would not read back as a label
+                if type(label) is not str:
+                    raise CdagError(f"label of vertex {v} must be a string, got {label!r}")
             labels = dict(labels) or None  # an empty map and no map are one CDAG
         return cls(vs, es, ins, outs, labels)
 

@@ -20,12 +20,24 @@ if TYPE_CHECKING:
     from .games import HierarchyConfig, PrbwMove, RbwMove
 
 
+_CHUNK = 16384  # characters that _lines splits into lines at a time
+
+
 def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
+    """Each record line's number and tokens, numbered as ``text.splitlines()``.
+
+    The text is split one chunk at a time, each cut just after a newline,
+    so only one chunk's line strings are alive at once.
+    """
+    lineno, start = 0, 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        for raw in text[start:cut].splitlines():
+            lineno += 1
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line.split()
+        start = cut
 
 
 def _int(tok: str, lineno: int, what: str = "integer") -> int:

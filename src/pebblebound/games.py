@@ -45,7 +45,7 @@ PRBW_MOVES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RbwMove:
     """One move of the flat games: Input, Output, Compute, or Delete."""
 
@@ -57,7 +57,7 @@ class RbwMove:
             raise GameError(f"unknown move kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrbwMove:
     """One move of the hierarchical game.
 

@@ -286,7 +286,8 @@ class TestWmax:
     def test_ceiling_bounds_every_wavefront_of_criterion_4(self):
         for c in wavefront_fixtures():
             for x in sorted(c.vertices):
-                assert bounds._wavefront_ceiling(c, x) >= wavefront_min(c, x).size
+                cone = c.ancestors(x), c.descendants(x)
+                assert bounds._wavefront_ceiling(c, x, *cone) >= wavefront_min(c, x).size
 
     def test_stats_show_the_skipped_anchors(self):
         c = gen_cg(3, 1, 2).cdag
@@ -366,7 +367,7 @@ class TestWmaxFailures:
 
     @pytest.fixture
     def no_ceilings(self, monkeypatch):
-        def ceiling(cdag, x):
+        def ceiling(cdag, x, *cone):
             raise AssertionError(f"ceiling computed for {x}")
 
         monkeypatch.setattr(bounds, "_wavefront_ceiling", ceiling)
@@ -435,6 +436,21 @@ class TestMincutBounds:
         c = diamond()
         with pytest.raises(BoundError, match="invalid partition"):
             mincut_divide_bound(c, Partition.of([{0}]), 1)
+
+    @given(tagged_dags(), st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_divide_sums_each_cores_bound_over_a_random_partition(self, c, S, data):
+        # block labels drawn per vertex, one block possibly empty; the
+        # reference charges each core by definition, with unpruned wmax
+        n = len(c.vertices)
+        k = data.draw(st.integers(1, n + 1))
+        label = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        blocks = [{v for v in range(n) if label[v] == i} for i in range(k)]
+        cores = [c.induced(b - c.inputs - c.outputs) for b in blocks]
+        per_block = tuple(naive_wmax(core) for core in cores)
+        rep = mincut_divide_bound(c, Partition.of(blocks), S)
+        assert rep.value == sum(max(0, 2 * (w - S)) for w in per_block) + len(c.inputs | c.outputs)
+        assert rep.params == {"S": S, "blocks": k, "wmax_per_block": per_block}
 
     @pytest.mark.parametrize("S", [0, -5])
     def test_both_reject_nonpositive_S(self, S):

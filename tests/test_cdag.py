@@ -73,6 +73,15 @@ class TestBuild:
         with pytest.raises(CdagError, match=r"^edge \(\[0\], 1\) endpoints must be integer vertex ids$"):
             Cdag.build([0, 1], [[[0], 1]])
 
+    @pytest.mark.parametrize("label", [5, None, b"x", type("Name", (str,), {})("a")])
+    def test_rejects_labels_that_are_not_strings(self, label):
+        # 5 would fail format_cdag with a bare TypeError, and None would
+        # format as no label, so neither could read back; a label is
+        # exactly a str, as an id is exactly an int
+        with pytest.raises(CdagError) as exc:
+            Cdag.build([0, 1], labels={1: label, 0: "a"})
+        assert str(exc.value) == f"label of vertex 1 must be a string, got {label!r}"
+
     def test_names_the_first_bad_edge_in_the_callers_order(self):
         with pytest.raises(CdagError, match=r"^duplicate edge \(2, 0\)$"):
             Cdag.build(range(3), [(1, 0), (2, 0), (1, 2), (2, 0), (1, 0)])

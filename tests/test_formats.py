@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblebound import Cdag, CdagError, FormatError, GameError, PebbleboundError, gen_cg, gen_jacobi
+from pebblebound import formats
 from pebblebound.formats import (
     Annotations,
     format_annotations,
@@ -142,12 +143,38 @@ class TestMemory:
 
     def test_parse_trace_peak(self, texts):
         _, size, peak = _traced(lambda: parse_trace(texts[1]))
-        assert peak <= 2 * size
+        assert peak <= 1.4 * size
+
+    def test_moves_have_no_instance_dict(self, texts):
+        _, moves = parse_trace(texts[1])
+        assert not hasattr(moves[0], "__dict__")
+        assert not hasattr(PrbwMove("MoveUp", 0, level=1), "__dict__")
 
     def test_adjacency_size(self, texts):
         cdag, size, _ = _traced(lambda: parse_cdag(texts[0]))
         _, adjacency, _ = _traced(lambda: (cdag.preds, cdag.succs))
         assert adjacency <= 0.5 * size
+
+
+# every separator str.splitlines() knows, "\r\n" as one of them
+_SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLines:
+    @given(
+        st.lists(st.sampled_from(_SEPARATORS + ["v", "1 2", " ", "\t", "#", "\xa0"])).map("".join),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_keep_the_lines_and_numbers_of_splitlines(self, text, chunk):
+        expected = [
+            (lineno, raw.split())
+            for lineno, raw in enumerate(text.splitlines(), 1)
+            if raw.strip() and not raw.strip().startswith("#")
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_CHUNK", chunk)
+            assert list(formats._lines(text)) == expected
 
 
 class TestAnnotations:
