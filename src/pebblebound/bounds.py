@@ -411,13 +411,7 @@ def wavefront_min(cdag: Cdag, x: int, stats: Optional[FlowStats] = None) -> Wave
     ``stats`` to count the flow's work.
     """
     _check_anchor(cdag, x)
-    return _wavefront(cdag, x, cdag.ancestors(x), cdag.descendants(x), stats)
-
-
-def _wavefront(
-    cdag: Cdag, x: int, anc: frozenset[int], desc: frozenset[int], stats: Optional[FlowStats]
-) -> Wavefront:
-    """:func:`wavefront_min` of a checked anchor, given its ancestors and descendants."""
+    anc, desc = cdag.ancestors(x), cdag.descendants(x)
     if not desc:
         return Wavefront(
             anchor=x,
@@ -511,16 +505,12 @@ def wmax(
     Refinement is lazy.  A max-heap holds every anchor keyed by its prefix
     ceiling.  The top anchor, if its key is still the prefix ceiling, gets
     the two-cut ceiling, its key becomes the smaller of the two, and it
-    goes back on the heap; a refined top anchor is flowed.  Ties pop the
-    lowest vertex id first.  The search stops once the top key is no
-    larger than the best wavefront.  Every key bounds its anchor's
-    wavefront from above and the top key bounds every key, so no anchor
-    left on the heap can beat the best, and the result is exact.
-
-    Both steps need the anchor's ancestors and descendants.  Only the top
-    anchor's are kept, so an anchor still on top after its refinement is
-    flowed without a second traversal, and memory holds one anchor's sets
-    however many anchors are refined.
+    goes back on the heap; a refined top anchor is flowed by
+    :func:`wavefront_min`.  Ties pop the lowest vertex id first.  The
+    search stops once the top key is no larger than the best wavefront.
+    Every key bounds its anchor's wavefront from above and the top key
+    bounds every key, so no anchor left on the heap can beat the best, and
+    the result is exact.
     """
     import heapq
 
@@ -533,18 +523,16 @@ def wmax(
     prefix = _prefix_ceilings(cdag) if cand else {}
     heap = [(-prefix[x], x, False) for x in cand]  # (-key, anchor, refined)
     heapq.heapify(heap)
-    cone = None  # the top anchor with its ancestors and descendants
     best = 0
     while heap and -heap[0][0] > best:
         key, x, refined = heap[0]
-        if cone is None or cone[0] != x:
-            cone = x, cdag.ancestors(x), cdag.descendants(x)
         if refined:
             heapq.heappop(heap)
             stats.anchors_skipped -= 1
-            best = max(best, _wavefront(cdag, *cone, stats).size)
+            best = max(best, wavefront_min(cdag, x, stats).size)
         else:
-            heapq.heapreplace(heap, (max(key, -_wavefront_ceiling(cdag, *cone)), x, True))
+            ceiling = _wavefront_ceiling(cdag, x, cdag.ancestors(x), cdag.descendants(x))
+            heapq.heapreplace(heap, (max(key, -ceiling), x, True))
     return best
 
 

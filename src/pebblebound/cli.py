@@ -174,7 +174,7 @@ def cmd_generate(args, run: _Run) -> None:
     run.emit("inputs", len(ann.cdag.inputs))
     run.emit("outputs", len(ann.cdag.outputs))
     if args.annotations:
-        sidecar = Annotations(ann.slabs, ann.frontier_vertices, ann.wavefront_anchors)
+        sidecar = Annotations(ann.slabs, ann.wavefront_anchors)
         Path(args.annotations).write_text(format_annotations(sidecar), encoding="utf-8")
         run.emit("annotations", args.annotations)
         run.emit("slabs", len(ann.slabs))

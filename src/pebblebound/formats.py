@@ -156,16 +156,15 @@ def format_cdag(cdag: Cdag) -> str:
 
 
 # ---------------------------------------------------------------------------
-# annotation sidecar (slabs, frontiers, anchors)
+# annotation sidecar (slabs, anchors)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class Annotations:
-    """Sidecar annotations: named slabs, frontier sets, anchor vertices."""
+    """Sidecar annotations: named slabs and anchor vertices."""
 
     slabs: dict[str, frozenset[int]] = field(default_factory=dict)
-    frontiers: dict[tuple[str, str], frozenset[int]] = field(default_factory=dict)
     anchors: tuple[int, ...] = ()
 
 
@@ -180,13 +179,6 @@ def parse_annotations(text: str) -> Annotations:
             if name in ann.slabs:
                 raise FormatError(f"line {lineno}: slab {name!r} declared twice")
             ann.slabs[name] = frozenset(_int(t, lineno) for t in toks[2:])
-        elif toks[0] == "frontier":
-            if len(toks) < 3:
-                raise FormatError(f"line {lineno}: frontier line needs two slab names")
-            key = (toks[1], toks[2])
-            if key in ann.frontiers:
-                raise FormatError(f"line {lineno}: frontier {key[0]!r} {key[1]!r} declared twice")
-            ann.frontiers[key] = frozenset(_int(t, lineno) for t in toks[3:])
         elif toks[0] == "anchor":
             if len(toks) != 2:
                 raise FormatError(f"line {lineno}: anchor line needs one id")
@@ -198,14 +190,12 @@ def parse_annotations(text: str) -> Annotations:
 
 
 def format_annotations(ann: Annotations) -> str:
-    for name in [*ann.slabs, *(n for key in ann.frontiers for n in key)]:
+    for name in ann.slabs:
         if not name or _has_space(name):
             raise FormatError(f"slab name {name!r} is empty or contains whitespace")
     out = []
     for name, vs in ann.slabs.items():
         out.append("slab " + name + " " + " ".join(str(v) for v in sorted(vs)))
-    for (a, b), vs in ann.frontiers.items():
-        out.append(f"frontier {a} {b} " + " ".join(str(v) for v in sorted(vs)))
     for v in ann.anchors:
         out.append(f"anchor {v}")
     return "\n".join(out) + "\n"

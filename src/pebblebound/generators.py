@@ -1,11 +1,10 @@
 """Parameterized CDAG generators for the analyzed computations.
 
 Every generator returns an :class:`AnnotatedCdag`: the graph itself plus
-slab annotations (per outer iteration or per pipeline stage), the frontier
-vertices shared between consecutive slabs, and the scalar anchor vertices
-that drive wavefront analyses.  The builder records the annotations while
-the vertices are added: a generator closes each slab as it finishes
-emitting it and appends anchors as it creates them.
+slab annotations (per outer iteration or per pipeline stage) and the scalar
+anchor vertices that drive wavefront analyses.  The builder records the
+annotations while the vertices are added: a generator closes each slab as
+it finishes emitting it and appends anchors as it creates them.
 
 Modeling conventions, shared by the Krylov generators:
 
@@ -15,7 +14,7 @@ Modeling conventions, shared by the Krylov generators:
   vertex per grid point; only the leaf set matters to the analyses.
 * Vector updates are fused multiply-add vertices, one per grid point.
 * A value produced in one iteration and consumed in the next appears in
-  both slabs; those shared vertices are exactly the declared frontiers.
+  both slabs; no other vertex is in two slabs.
 """
 
 from __future__ import annotations
@@ -60,11 +59,14 @@ class AlgorithmParams:
 
 @dataclass(frozen=True)
 class AnnotatedCdag:
-    """A generated CDAG with slab, frontier, and anchor annotations."""
+    """A generated CDAG with slab and anchor annotations.
+
+    Only consecutive slabs overlap; the frontier between slabs ``a`` and
+    ``b`` is ``slabs[a] & slabs[b]``.
+    """
 
     cdag: Cdag
     slabs: dict[str, frozenset[int]] = field(default_factory=dict)
-    frontier_vertices: dict[tuple[str, str], frozenset[int]] = field(default_factory=dict)
     wavefront_anchors: tuple[int, ...] = ()
 
     def by_label(self) -> dict[str, int]:
@@ -82,7 +84,6 @@ class _Builder:
         self.inputs: set[int] = set()
         self.outputs: set[int] = set()
         self.slabs: dict[str, frozenset[int]] = {}
-        self.frontiers: dict[tuple[str, str], frozenset[int]] = {}
         self.anchors: list[int] = []
         self._next = 0
 
@@ -107,14 +108,9 @@ class _Builder:
             acc = self.add(label, preds=(acc, leaf))
         return acc
 
-    def slab(self, name: str, start: int, shared: frozenset[int] = frozenset(), after: Optional[str] = None) -> None:
-        """Close slab ``name``: the vertices added since ``start`` plus ``shared``.
-
-        ``shared`` is also the slab's frontier with the earlier slab ``after``.
-        """
+    def slab(self, name: str, start: int, shared: Iterable[int] = ()) -> None:
+        """Close slab ``name``: the vertices added since ``start`` plus ``shared``."""
         self.slabs[name] = frozenset(itertools.chain(range(start, self._next), shared))
-        if after is not None:
-            self.frontiers[(after, name)] = shared
 
     def finish(self) -> AnnotatedCdag:
         cdag = Cdag.build(
@@ -124,7 +120,7 @@ class _Builder:
             outputs=self.outputs,
             labels=self.labels,
         )
-        return AnnotatedCdag(cdag, self.slabs, self.frontiers, tuple(self.anchors))
+        return AnnotatedCdag(cdag, self.slabs, tuple(self.anchors))
 
 
 def _grid_points(n: int, d: int) -> list[tuple[int, ...]]:
@@ -323,10 +319,7 @@ def gen_cg(n: int, d: int, T: int) -> AnnotatedCdag:
         b.anchors.append(g)
         p_new = [b.add(s, preds=(r_new[k], g)) for k, s in enumerate(vec("p", it))]
 
-        if it == 1:
-            b.slab("iter1", start)
-        else:
-            b.slab(f"iter{it}", start, frozenset((*x_prev, *r_prev, *p_prev, rr_prev)), after=f"iter{it - 1}")
+        b.slab(f"iter{it}", start, (*x_prev, *r_prev, *p_prev, rr_prev) if it > 1 else ())
         x_prev, r_prev, p_prev, rr_prev = x_new, r_new, p_new, srn
 
     b.outputs.update(x_prev)
@@ -388,10 +381,7 @@ def gen_gmres(n: int, d: int, m: int) -> AnnotatedCdag:
         v_new = [b.add(f"v{it}[{k}]", preds=(vp[k], nrm)) for k in range(npts)]
         gv = b.add(f"gv{it}", preds=(gv_prev, h_roots[-1], nrm))
         b.anchors.extend((h_roots[-1], nrm))
-        if it == 1:
-            b.slab("iter1", start)
-        else:
-            b.slab(f"iter{it}", start, frozenset((*basis[-1], gv_prev)), after=f"iter{it - 1}")
+        b.slab(f"iter{it}", start, (*basis[-1], gv_prev) if it > 1 else ())
         basis.append(v_new)
         gv_prev = gv
 

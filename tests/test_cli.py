@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from pebblebound import BoundError, load_machine, optimal_io
+from pebblebound import (
+    AlgorithmParams,
+    BoundError,
+    Partition,
+    generate,
+    load_machine,
+    mincut_divide_bound,
+    optimal_io,
+)
 from pebblebound.formats import format_machine, parse_cdag
 from pebblebound.cli import main
 
@@ -279,7 +287,7 @@ class TestBoundAndAnalyze:
         ids=lambda x: x[0] if isinstance(x, list) else f"S{x}",
     )
     def test_mincut_divide_on_generated_slabs(self, alg, S, tmp_path, capsys):
-        # slabs may share frontiers (cg, gmres) or leave out the inputs; the
+        # slabs may share vertices (cg, gmres) or leave out the inputs; the
         # bound still runs and stays below the optimum
         cdag, ann = tmp_path / "g.cdag", tmp_path / "g.ann"
         code, _, _ = run_cli(
@@ -294,6 +302,33 @@ class TestBoundAndAnalyze:
         assert (code, err) == (0, "")
         optimum = optimal_io(parse_cdag(cdag.read_text()), S).value
         assert Fraction(kv_dict(out)["bound.value"].split()[0]) <= optimum
+
+    @pytest.mark.parametrize(
+        "params",
+        [AlgorithmParams("cg", n=3, d=1, T=3), AlgorithmParams("gmres", n=3, d=1, m=3)],
+        ids=["cg", "gmres"],
+    )
+    def test_mincut_divide_keeps_each_vertex_in_its_producing_slab(self, params, tmp_path, capsys):
+        # consecutive slabs share the values one iteration hands to the next;
+        # each shared vertex is charged to the earlier slab, which produces it
+        cdag, ann = tmp_path / "g.cdag", tmp_path / "g.ann"
+        alg = ["--alg", params.algorithm, "--n", str(params.n), "--d", str(params.d),
+               "--T", str(params.T), "--m", str(params.m)]
+        assert run_cli(["generate", *alg, "--out", str(cdag), "--annotations", str(ann)], capsys)[0] == 0
+        code, out, err = run_cli(
+            ["bound", "--method", "mincut-divide", "--cdag", str(cdag), "--partition", str(ann),
+             "--S", "4", "--kv"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        gen = generate(params)
+        slabs = list(gen.slabs.values())
+        produced = [slabs[0], *(b - a for a, b in zip(slabs, slabs[1:]))]
+        expected = mincut_divide_bound(gen.cdag, Partition.of([*produced, gen.cdag.inputs]), 4)
+        kv = kv_dict(out)
+        assert Fraction(kv["bound.value"].split()[0]) == expected.value
+        assert kv["bound.param.blocks"] == str(len(slabs) + 1)
+        assert kv["bound.param.wmax_per_block"] == str(expected.params["wmax_per_block"])
 
     @pytest.mark.parametrize("budget", ["0", "-1", "x"])
     @pytest.mark.parametrize("command", [["oracle"], ["bound", "--method", "spart"]])

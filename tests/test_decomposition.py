@@ -74,9 +74,9 @@ class TestCgSlabSplit:
         for t in range(T - 1, 0, -1):
             # detach the trailing iteration's exclusive vertices at its
             # frontier-facing anchor
-            tail = slabs[t] - ann.frontier_vertices[(f"iter{t}", f"iter{t + 1}")] if t + 1 <= T and (f"iter{t}", f"iter{t+1}") in ann.frontier_vertices else slabs[t]
-            tail = tail & remaining.vertices
-            anchor = sorted(ann.frontier_vertices[(f"iter{t}", f"iter{t + 1}")])[0]
+            frontier = slabs[t - 1] & slabs[t]
+            tail = (slabs[t] - frontier) & remaining.vertices
+            anchor = min(frontier)
             split = nondisjoint_decompose(remaining, anchor, tail - {anchor})
             parts.append(split.second)
             remaining = split.first

@@ -180,22 +180,24 @@ class TestLines:
 class TestAnnotations:
     def test_roundtrip_generator_sidecar(self):
         ann = gen_cg(2, 1, 2)
-        text = format_annotations(Annotations(ann.slabs, ann.frontier_vertices, ann.wavefront_anchors))
+        text = format_annotations(Annotations(ann.slabs, ann.wavefront_anchors))
         parsed = parse_annotations(text)
         assert parsed.slabs == dict(ann.slabs)
-        assert parsed.frontiers == dict(ann.frontier_vertices)
         assert parsed.anchors == ann.wavefront_anchors
 
     def test_bad_record(self):
         with pytest.raises(FormatError):
             parse_annotations("slabs a 1 2\n")
 
+    def test_frontier_record_rejected(self):
+        # a frontier is the intersection of two slabs, so the sidecar does not state it
+        with pytest.raises(FormatError) as exc:
+            parse_annotations("frontier a b 1\nslab a 1\nslab b 1\n")
+        assert str(exc.value) == "line 1: unknown record 'frontier'"
+
     @pytest.mark.parametrize(
         "text, message",
-        [
-            ("slab a 1\nslab b 2\nslab a 3\n", "line 3: slab 'a' declared twice"),
-            ("frontier a b 1\nfrontier b a 1\nfrontier a b 2\n", "line 3: frontier 'a' 'b' declared twice"),
-        ],
+        [("slab a 1\nslab b 2\nslab a 3\n", "line 3: slab 'a' declared twice")],
     )
     def test_repeated_record_rejected(self, text, message):
         with pytest.raises(FormatError) as exc:
@@ -207,8 +209,7 @@ class TestAnnotations:
         [
             (Annotations(slabs={"": frozenset({1, 2})}), ""),
             (Annotations(slabs={"a b": frozenset({1})}), "a b"),
-            (Annotations(frontiers={("a", "b\tc"): frozenset({1})}), "b\tc"),
-            (Annotations(frontiers={("", "b"): frozenset({1})}), ""),
+            (Annotations(slabs={"b\tc": frozenset({1})}), "b\tc"),
         ],
     )
     def test_unwritable_slab_name_rejected(self, ann, name):
@@ -501,7 +502,7 @@ FUZZ_TOKEN = st.one_of(
 # one valid document per format; the fuzz test mutates their tokens
 FUZZ_SEEDS = (
     (parse_cdag, CDAG_TEXT),
-    (parse_annotations, "slab a 0 1\nslab b 2\nfrontier a b 1\nanchor 2\n"),
+    (parse_annotations, "slab a 0 1\nslab b 1 2\nanchor 2\n"),
     (parse_trace, "trace rbw 1\nR1 0\nR3 1\nR2 1\nR4 0\n"),
     (parse_trace, "trace prbw 1\nR1 1 0\nR3 2 0 1\nR4 2 1 0\nR5 2 2 0\nR6 3 1\nR7 3 1 1\nR2 1 0\n"),
     (

@@ -46,7 +46,7 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
     ann = gen_jacobi(4, 1, 3, 3)
     (d / "jac.cdag").write_text(format_cdag(ann.cdag), encoding="utf-8")
-    sidecar = Annotations(ann.slabs, ann.frontier_vertices, ann.wavefront_anchors)
+    sidecar = Annotations(ann.slabs, ann.wavefront_anchors)
     (d / "jac.ann").write_text(format_annotations(sidecar), encoding="utf-8")
     (d / "jac.trace").write_text(format_trace("rbw", heuristic_game(ann.cdag, 4)[0]), encoding="utf-8")
     # the min-cut bound needs a CDAG without tagged inputs

@@ -69,3 +69,24 @@ def test_traced_launcher_wraps_engines_the_cli_imports_late(tmp_path):
         assert proc.returncode == code, proc.stderr
     took = {span[0]: span[2] - span[1] for span in json.loads(spans.read_text())}
     assert took["oracle.search"] > 0 and took["games.heuristic"] > 0
+
+
+def test_traced_launcher_sees_every_wavefront_flow_of_wmax(tmp_path):
+    # wmax flows each anchor it cannot settle by a ceiling through the
+    # public wavefront_min, so the launcher's span counts every flow
+    from pebblebound import Cdag, gen_cg
+    from pebblebound.formats import format_cdag
+
+    c = gen_cg(12, 1, 4).cdag
+    free = Cdag.build(sorted(c.vertices), c.edges, (), ())  # the min-cut bound needs no inputs
+    cdag, spans, rec = tmp_path / "free.cdag", tmp_path / "spans.json", tmp_path / "run.rec"
+    cdag.write_text(format_cdag(free), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [str(ROOT / "perfbench" / "shim.py"), str(spans), "job", "bound", "--method", "mincut",
+            "--cdag", str(cdag), "--S", "4", "--kv", "--record", str(rec)]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = dict(line.split("=", 1) for line in rec.read_text().splitlines() if "=" in line)
+    flows = int(record["stats.flow.flows"])
+    wavefronts = sum(1 for span in json.loads(spans.read_text()) if span[0] == "bounds.wavefront")
+    assert flows > 0 and wavefronts == flows
