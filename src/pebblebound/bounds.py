@@ -70,9 +70,7 @@ def min_dominator_size(cdag: Cdag, block: frozenset[int]) -> int:
     Computed as a vertex min-cut with every vertex cuttable: a dominator
     may use block vertices, interior vertices, or the inputs themselves.
     """
-    if not block:
-        return 0
-    if not cdag.inputs:
+    if not block or not cdag.inputs:
         return 0
     net, idx, s, t = _split_network(cdag.vertices)
     for v in cdag.inputs:

@@ -93,16 +93,8 @@ class _Run:
         self.code, self.error = code, error
 
     def finish(self) -> None:
-        """Print a successful run's outputs; append the run record on every exit."""
-        # a failed run prints nothing here, nor does a command without outputs (report)
-        if self.pairs and self.error is None:
-            if self.kv:
-                for k, v in self.pairs:
-                    print(f"{k}={v}")
-            else:
-                for k, v in self.pairs:
-                    print(f"{k} = {v}")
-                print(f"(wall time {time.monotonic() - self.started:.3f}s)")
+        """Append the run record on every exit, then print a successful run's outputs."""
+        # the record goes first: a run whose record cannot be written prints nothing on stdout
         if self.record_path:
             with open(self.record_path, "a", encoding="utf-8") as fh:
                 fh.write("record 1\n")
@@ -123,6 +115,15 @@ class _Run:
                         value = getattr(self.error, attr, None)
                         if value is not None:
                             fh.write(f"error.{attr}={self.render(value)}\n")
+        # a failed run prints nothing here, nor does a command without outputs (report)
+        if self.pairs and self.error is None:
+            if self.kv:
+                for k, v in self.pairs:
+                    print(f"{k}={v}")
+            else:
+                for k, v in self.pairs:
+                    print(f"{k} = {v}")
+                print(f"(wall time {time.monotonic() - self.started:.3f}s)")
 
 
 def _emit_report(run: _Run, prefix: str, rep: BoundReport) -> None:

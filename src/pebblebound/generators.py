@@ -49,12 +49,7 @@ class AlgorithmParams:
         if self.n < 1 or self.d < 1 or self.T < 1 or self.m < 1:
             raise CdagError("n, d, T, m must all be >= 1")
         if self.stencil_points is not None:
-            allowed = {2 * self.d + 1, 3**self.d}
-            if self.stencil_points not in allowed:
-                raise CdagError(
-                    f"stencil_points must be one of {sorted(allowed)} for d={self.d}, "
-                    f"got {self.stencil_points}"
-                )
+            _check_stencil_points(self.d, self.stencil_points)
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,15 @@ def _grid_points(n: int, d: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(n), repeat=d))
 
 
+def _check_stencil_points(d: int, stencil_points: int) -> None:
+    """A stencil has the 2d+1 points of the axes or the 3^d points of the cube."""
+    allowed = {2 * d + 1, 3**d}
+    if stencil_points not in allowed:
+        raise CdagError(f"stencil_points must be one of {sorted(allowed)} for d={d}, got {stencil_points}")
+
+
 def _stencil_offsets(d: int, stencil_points: int) -> list[tuple[int, ...]]:
+    _check_stencil_points(d, stencil_points)
     if stencil_points == 2 * d + 1:
         offsets = [tuple(0 for _ in range(d))]
         for axis in range(d):
@@ -136,19 +139,24 @@ def _stencil_offsets(d: int, stencil_points: int) -> list[tuple[int, ...]]:
                 off[axis] = step
                 offsets.append(tuple(off))
         return offsets
-    if stencil_points == 3**d:
-        return list(itertools.product((-1, 0, 1), repeat=d))
-    raise CdagError(f"stencil_points must be one of {sorted({2 * d + 1, 3**d})} for d={d}, got {stencil_points}")
+    return list(itertools.product((-1, 0, 1), repeat=d))
 
 
-def _neighbors(point: tuple[int, ...], n: int, offsets) -> list[tuple[int, ...]]:
-    """Stencil neighborhood with boundary clamping: out-of-range taps drop."""
-    out = []
-    for off in offsets:
-        q = tuple(c + o for c, o in zip(point, off))
-        if all(0 <= c < n for c in q):
-            out.append(q)
-    return out
+def _neighbour_table(n: int, d: int, stencil_points: int) -> list[tuple[int, ...]]:
+    """The stencil neighbours of each point of ``_grid_points(n, d)``, as indices into that list.
+
+    The grid is in row-major order, so offset ``off`` moves an index by
+    ``sum(off[axis] * n**(d-1-axis))``.  Boundary points clamp: taps that
+    leave the grid drop.
+    """
+    taps = [
+        (off, sum(o * n ** (d - 1 - axis) for axis, o in enumerate(off)))
+        for off in _stencil_offsets(d, stencil_points)
+    ]
+    return [
+        tuple(k + step for off, step in taps if all(0 <= c + o < n for c, o in zip(pt, off)))
+        for k, pt in enumerate(_grid_points(n, d))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +196,19 @@ def gen_outer_product(N: int) -> AnnotatedCdag:
 
 
 def _emit_matmul(b: _Builder, A, B, N: int):
-    """N^3 multiplies plus per-(i,j) accumulation chains; returns C grid."""
+    """N^3 multiplies plus per-(i,j) accumulation chains; returns the C grid and the multiplies."""
     C = {}
+    mults: list[int] = []
     for i in range(N):
         for j in range(N):
             terms = [b.add(f"m[{i},{k},{j}]", preds=(A[i, k], B[k, j])) for k in range(N)]
+            mults.extend(terms)
             acc = terms[0]
             for k in range(1, N):
                 label = f"C[{i},{j}]" if k == N - 1 else f"acc[{i},{j},{k}]"
                 acc = b.add(label, preds=(acc, terms[k]))
             C[i, j] = acc
-    return C
+    return C, mults
 
 
 def gen_matmul(N: int) -> AnnotatedCdag:
@@ -213,13 +223,13 @@ def gen_matmul(N: int) -> AnnotatedCdag:
     A = {(i, k): b.add(f"A[{i},{k}]", is_input=True) for i in range(N) for k in range(N)}
     B = {(k, j): b.add(f"B[{k},{j}]", is_input=True) for k in range(N) for j in range(N)}
     first_compute = b._next
-    b.outputs.update(_emit_matmul(b, A, B, N).values())
+    C, mults = _emit_matmul(b, A, B, N)
+    b.outputs.update(C.values())
     # multiplies and accumulations interleave, so neither is a run of ids
-    computed = frozenset(range(first_compute, b._next))
-    mults = frozenset(v for v in computed if b.labels[v].startswith("m["))
-    b.slabs["mults"] = mults
-    if computed - mults:
-        b.slabs["accs"] = computed - mults
+    b.slabs["mults"] = frozenset(mults)
+    accs = frozenset(range(first_compute, b._next)).difference(mults)
+    if accs:
+        b.slabs["accs"] = accs
     return b.finish()
 
 
@@ -245,7 +255,7 @@ def gen_composite(N: int) -> AnnotatedCdag:
     B = {(i, j): b.add(f"B[{i},{j}]", preds=(r[i], s[j])) for i in range(N) for j in range(N)}
     b.slab("outer_B", start)
     start = b._next
-    C = _emit_matmul(b, A, B, N)
+    C, _ = _emit_matmul(b, A, B, N)
     b.slab("matmul", start)
     start = b._next
     leaves = [C[i, j] for i in range(N) for j in range(N)]
@@ -282,12 +292,11 @@ def gen_cg(n: int, d: int, T: int) -> AnnotatedCdag:
     if n < 2 or d < 1 or T < 1:
         raise CdagError("gen_cg requires n >= 2, d >= 1, T >= 1")
     b = _Builder()
-    points = _grid_points(n, d)
-    offsets = _stencil_offsets(d, 2 * d + 1)
-    coord = {pt: i for i, pt in enumerate(points)}
+    table = _neighbour_table(n, d, 2 * d + 1)
+    coords = [",".join(map(str, pt)) for pt in _grid_points(n, d)]
 
     def vec(prefix, it):
-        return [f"{prefix}{it}[{','.join(map(str, pt))}]" for pt in points]
+        return [f"{prefix}{it}[{c}]" for c in coords]
 
     x_prev = [b.add(s, is_input=True) for s in vec("x", 0)]
     r_prev = [b.add(s, is_input=True) for s in vec("r", 0)]
@@ -296,14 +305,8 @@ def gen_cg(n: int, d: int, T: int) -> AnnotatedCdag:
 
     for it in range(1, T + 1):
         start = b._next
-        v = [
-            b.add(
-                f"v{it}[{','.join(map(str, pt))}]",
-                preds=tuple(p_prev[coord[nb]] for nb in _neighbors(pt, n, offsets)),
-            )
-            for pt in points
-        ]
-        mpv = [b.add(f"mpv{it}[{k}]", preds=(p_prev[k], v[k])) for k in range(len(points))]
+        v = [b.add(s, preds=[p_prev[j] for j in nbs]) for s, nbs in zip(vec("v", it), table)]
+        mpv = [b.add(f"mpv{it}[{k}]", preds=(p_prev[k], v[k])) for k in range(len(coords))]
         spv = b.reduce(mpv, f"spv{it}")
         a = b.add(f"a{it}", preds=(rr_prev, spv))
         b.anchors.append(a)
@@ -313,7 +316,7 @@ def gen_cg(n: int, d: int, T: int) -> AnnotatedCdag:
         r_new = [
             b.add(s, preds=(r_prev[k], a, v[k])) for k, s in enumerate(vec("r", it))
         ]
-        mrn = [b.add(f"mrn{it}[{k}]", preds=(r_new[k],)) for k in range(len(points))]
+        mrn = [b.add(f"mrn{it}[{k}]", preds=(r_new[k],)) for k in range(len(coords))]
         srn = b.reduce(mrn, f"srn{it}")
         g = b.add(f"g{it}", preds=(srn, a))
         b.anchors.append(g)
@@ -341,10 +344,8 @@ def gen_gmres(n: int, d: int, m: int) -> AnnotatedCdag:
     if n < 2 or d < 1 or m < 1:
         raise CdagError("gen_gmres requires n >= 2, d >= 1, m >= 1")
     b = _Builder()
-    points = _grid_points(n, d)
-    offsets = _stencil_offsets(d, 2 * d + 1)
-    coord = {pt: i for i, pt in enumerate(points)}
-    npts = len(points)
+    table = _neighbour_table(n, d, 2 * d + 1)
+    npts = len(table)
 
     x0 = [b.add(f"x0[{k}]", is_input=True) for k in range(npts)]
     basis = [[b.add(f"v0[{k}]", is_input=True) for k in range(npts)]]
@@ -354,13 +355,7 @@ def gen_gmres(n: int, d: int, m: int) -> AnnotatedCdag:
     for it in range(1, m + 1):
         start = b._next
         v_in = basis[-1]
-        w = [
-            b.add(
-                f"w{it}[{k}]",
-                preds=tuple(v_in[coord[nb]] for nb in _neighbors(points[k], n, offsets)),
-            )
-            for k in range(npts)
-        ]
+        w = [b.add(f"w{it}[{k}]", preds=[v_in[j] for j in nbs]) for k, nbs in enumerate(table)]
         h_roots = []
         for j in range(it):
             mh = [b.add(f"mh[{j},{it}][{k}]", preds=(w[k], basis[j][k])) for k in range(npts)]
@@ -406,24 +401,16 @@ def gen_jacobi(n: int, d: int, T: int, stencil_points: Optional[int] = None) -> 
     """
     if n < 3 or d < 1 or T < 2:
         raise CdagError("gen_jacobi requires n >= 3, d >= 1, T >= 2")
-    if stencil_points is None:
-        stencil_points = 3**d
-    offsets = _stencil_offsets(d, stencil_points)
+    table = _neighbour_table(n, d, 3**d if stencil_points is None else stencil_points)
+    coords = [",".join(map(str, pt)) for pt in _grid_points(n, d)]
     b = _Builder()
-    points = _grid_points(n, d)
-    prev: dict[tuple[int, ...], int] = {}
-    for t in range(T):
+    prev = [b.add(f"u0[{c}]", is_input=True) for c in coords]
+    b.slab("t0", 0)
+    for t in range(1, T):
         start = b._next
-        layer = {}
-        for pt in points:
-            name = f"u{t}[{','.join(map(str, pt))}]"
-            if t == 0:
-                layer[pt] = b.add(name, is_input=True)
-            else:
-                layer[pt] = b.add(name, preds=tuple(prev[nb] for nb in _neighbors(pt, n, offsets)))
+        prev = [b.add(f"u{t}[{c}]", preds=[prev[j] for j in nbs]) for c, nbs in zip(coords, table)]
         b.slab(f"t{t}", start)
-        prev = layer
-    b.outputs.update(prev.values())
+    b.outputs.update(prev)
     return b.finish()
 
 

@@ -623,6 +623,8 @@ class TestSPartitionChecker:
         assert min_dominator_size(c, frozenset({3})) == 1
         assert min_dominator_size(c, frozenset({1, 2})) == 1
         assert min_dominator_size(c, frozenset({0})) == 1
+        assert min_dominator_size(c, frozenset()) == 0
+        assert min_dominator_size(make_cdag(2, [(0, 1)]), frozenset({1})) == 0  # no inputs
 
     def test_boundary_helpers(self):
         c = diamond()

@@ -176,13 +176,19 @@ class TestValidatePlayOracle:
 
 
 class TestUsageErrors:
-    """A missing flag the chosen input or method needs: exit 1, one error line."""
+    """A missing flag, a bad value or a bad input file: exit 1, one error line, no stdout."""
 
     @pytest.fixture
     def files(self, tmp_path):
         (tmp_path / "c.cdag").write_text("cdag 1\nv 0 in\nv 1 out\ne 0 1\n", encoding="utf-8")
+        (tmp_path / "dup.cdag").write_text("cdag 1\nv 0 in\nv 1 out\ne 0 1\ne 0 1\n", encoding="utf-8")
+        (tmp_path / "neg.cdag").write_text("cdag 1\nv -1\n", encoding="utf-8")
+        (tmp_path / "ff.cdag").write_bytes(b"\xffcdag 1\n")
         (tmp_path / "flat.trace").write_text("trace rbw 1\nR1 0\n", encoding="utf-8")
         (tmp_path / "hier.trace").write_text("trace prbw 1\nR1 0 0\n", encoding="utf-8")
+        (tmp_path / "nocache.machine").write_text(
+            "machine 1\nname x\nnodes 1\ncores 1\nmem_words 8\nvbal 0.05\nhbal 0.05\n", encoding="utf-8"
+        )
         return tmp_path
 
     @pytest.mark.parametrize(
@@ -195,6 +201,13 @@ class TestUsageErrors:
             (["bound", "--method", "mincut", "--cdag", "c.cdag"], "--method mincut needs --S"),
             (["bound", "--method", "mincut-divide", "--cdag", "c.cdag", "--S", "2"],
              "--method mincut-divide needs --partition"),
+            (["play", "--cdag", "dup.cdag", "--S", "2"], "invalid CDAG: duplicate edge (0, 1)"),
+            (["play", "--cdag", "neg.cdag", "--S", "2"],
+             "invalid CDAG: vertex ids must be nonnegative integers, got -1"),
+            (["play", "--cdag", "ff.cdag", "--S", "2"], "ff.cdag: not UTF-8 text (byte 0)"),
+            (["validate", "--cdag", "c.cdag", "--trace", "flat.trace", "--S", "0"], "S must be >= 1"),
+            (["analyze", "--alg", "jacobi", "--machine", "nocache.machine"],
+             "the stencil bound needs a cache level (its capacity sets S)"),
         ],
     )
     def test_exit_1_with_one_error_line(self, argv, message, files, monkeypatch, capsys):
@@ -520,6 +533,14 @@ class TestRecords:
         assert "exit=1" in lines
         assert "error=step 3 R1 vertex 2: red capacity 2 exceeded" in lines
         assert sum(".sha256=" in line for line in lines) == 2  # the CDAG and the trace
+
+    @pytest.mark.parametrize("kv", [[], ["--kv"]])
+    def test_unwritable_record_path_prints_nothing_on_stdout(self, kv, jacobi_files, tmp_path, capsys):
+        cdag, _, _ = jacobi_files
+        rec = tmp_path / "no" / "such" / "dir" / "rec"
+        code, out, err = run_cli(["play", "--cdag", str(cdag), "--S", "4", "--record", str(rec)] + kv, capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(rec) in err
 
     @pytest.mark.parametrize("flag", [["--kv"], ["--record", "x.rec"]])
     def test_report_takes_no_kv_or_record(self, flag, tmp_path, capsys):
