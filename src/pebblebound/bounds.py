@@ -77,8 +77,9 @@ def min_dominator_size(cdag: Cdag, block: frozenset[int]) -> int:
         net.add_edge(s, 2 * idx[v], _Dinic.INF)
     for w in block:
         net.add_edge(2 * idx[w] + 1, t, _Dinic.INF)
-    for u, w in cdag.edges:
-        net.add_edge(2 * idx[u] + 1, 2 * idx[w], _Dinic.INF)
+    for u, ws in cdag.succs.items():
+        for w in ws:
+            net.add_edge(2 * idx[u] + 1, 2 * idx[w], _Dinic.INF)
     return net.max_flow(s, t)
 
 
@@ -422,17 +423,18 @@ def wavefront_min(cdag: Cdag, x: int, stats: Optional[FlowStats] = None) -> Wave
     dinic, idx, s, t = _split_network(cdag.vertices - desc - {x}, stats)
     for a in anc:
         dinic.add_edge(s, 2 * idx[a], _Dinic.INF)
-    for u, w in cdag.edges:
+    for u, ws in cdag.succs.items():
         if u == x or u in desc:
             continue  # anchor/descendant sources never constrain the cut
-        if w in desc:
-            dinic.add_edge(2 * idx[u] + 1, t, _Dinic.INF)
-        elif w == x:
-            continue  # edges into the anchor stay inside the source side
-        else:
-            dinic.add_edge(2 * idx[u] + 1, 2 * idx[w], _Dinic.INF)
-            # closure arc: w on the fired side forces u onto the fired side
-            dinic.add_edge(2 * idx[w], 2 * idx[u], _Dinic.INF)
+        for w in ws:
+            if w in desc:
+                dinic.add_edge(2 * idx[u] + 1, t, _Dinic.INF)
+            elif w == x:
+                continue  # edges into the anchor stay inside the source side
+            else:
+                dinic.add_edge(2 * idx[u] + 1, 2 * idx[w], _Dinic.INF)
+                # closure arc: w on the fired side forces u onto the fired side
+                dinic.add_edge(2 * idx[w], 2 * idx[u], _Dinic.INF)
     flow = dinic.max_flow(s, t)
 
     level = dinic.level
@@ -461,9 +463,11 @@ def _assert_valid_cut(cdag, x, anc, desc, s_side, t_side):
         raise BoundError("wavefront construction bug: ancestry escaped the fired side")
     if not desc <= t_side:
         raise BoundError("wavefront construction bug: descendant on the fired side")
-    for u, w in cdag.edges:
-        if u in t_side and w in s_side:
-            raise BoundError(f"wavefront construction bug: back edge {u}->{w} crosses the cut")
+    for u, ws in cdag.succs.items():
+        if u in t_side:
+            for w in ws:
+                if w in s_side:
+                    raise BoundError(f"wavefront construction bug: back edge {u}->{w} crosses the cut")
 
 
 def wmax(

@@ -9,17 +9,20 @@ supported:
 * ``rbw`` -- tagging is flexible: untagged sources are ordinary compute
   vertices that fire for free, untagged sinks need no final store.
 
-Instances are immutable; every operation here is a pure function of its
-arguments.  This module computes no bounds: the rules that carry a bound
+A CDAG holds its edges once, as each vertex's ascending tuple of
+successors; the edge set is a view of them and the predecessor map is
+derived from them on first use.  Instances are immutable; every operation here is a pure function of
+its arguments.  This module computes no bounds: the rules that carry a bound
 across the surgeries and splits made here live in :mod:`.reports`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterable, Mapping, Optional
+from typing import ClassVar, Iterable, Iterator, Mapping, Optional
 
 from .errors import CdagError
 
@@ -30,25 +33,64 @@ Edge = tuple[int, int]
 def _first_repeat(edges: Iterable[Edge]) -> Edge:
     """The first edge that ``edges`` lists a second time."""
     seen = set()
-    for e in edges:
+    for e in map(tuple, edges):
         if e in seen:
             return e
         seen.add(e)
     raise AssertionError("no repeated edge")
 
 
+class EdgeView(Set):
+    """Read-only set view of a successor map: ascending ``(u, v)`` pairs.
+
+    It holds no pair of its own; each one is made as it is read.  Set
+    operators (``&``, ``-``, ...) return plain frozensets.
+    """
+
+    __slots__ = ("_succs", "_len")
+
+    def __init__(self, succs: Mapping[int, tuple[int, ...]]):
+        self._succs = succs
+        self._len = sum(map(len, succs.values()))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Edge]:
+        for u, ws in self._succs.items():
+            for w in ws:
+                yield u, w
+
+    def __contains__(self, edge: object) -> bool:
+        if not isinstance(edge, tuple) or len(edge) != 2:
+            return False
+        u, w = edge
+        try:
+            return w in self._succs.get(u, ())
+        except TypeError:  # an unhashable end is in no pair
+            return False
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[Edge]) -> frozenset[Edge]:
+        return frozenset(it)
+
+
 @dataclass(frozen=True)
 class Cdag:
     """Directed graph with designated input and output vertex sets.
 
-    Use :meth:`build` rather than the raw constructor: it normalises the
-    containers and rejects nonsense (unknown endpoints, duplicate edges,
-    ids that are negative or not plain ``int``).  Cycles are representable on
-    purpose so that :meth:`validate` can report them as violations.
+    ``succs`` is the one edge container: each vertex, ascending, maps to
+    its successors as an ascending tuple.  ``edges`` (a read-only set view)
+    and ``preds`` (built on first use) are derived from it.  Use
+    :meth:`build` rather than the raw constructor: it fills ``succs`` in
+    one pass over the caller's edge pairs and rejects nonsense (unknown
+    endpoints, duplicate edges, ids that are negative or not plain
+    ``int``).  Cycles are representable on purpose so that
+    :meth:`validate` can report them as violations.
     """
 
     vertices: frozenset[int]
-    edges: frozenset[Edge]
+    succs: Mapping[int, tuple[int, ...]]
     inputs: frozenset[int]
     outputs: frozenset[int]
     labels: Optional[Mapping[int, str]] = None
@@ -67,17 +109,19 @@ class Cdag:
             if type(v) is not int or v < 0:
                 raise CdagError(f"vertex ids must be nonnegative integers, got {v!r}")
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        succs: dict = {v: [] for v in sorted(vs)}  # lists while filling, then tuples
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise CdagError(f"edge ({u!r}, {v!r}) endpoints must be integer vertex ids")
             if u not in vs or v not in vs:
                 raise CdagError(f"edge ({u}, {v}) references unknown vertex")
-        try:
-            es = frozenset(edges)
-        except TypeError:  # pairs given as lists, as json.load reads them
-            edges = [tuple(e) for e in edges]
-            es = frozenset(edges)
-        if len(es) != len(edges):
+            succs[u].append(v)
+        repeated = False
+        for u, ws in succs.items():  # each list becomes its ascending tuple in place
+            ws.sort()
+            repeated = repeated or any(map(int.__eq__, ws, ws[1:]))
+            succs[u] = tuple(ws)
+        if repeated:
             u, v = _first_repeat(edges)
             raise CdagError(f"duplicate edge ({u}, {v})")
         ins = frozenset(inputs)
@@ -94,25 +138,25 @@ class Cdag:
                 if type(label) is not str:
                     raise CdagError(f"label of vertex {v} must be a string, got {label!r}")
             labels = dict(labels) or None  # an empty map and no map are one CDAG
-        return cls(vs, es, ins, outs, labels)
+        return cls(vs, succs, ins, outs, labels)
 
     # -- derived structure -------------------------------------------------
 
     @cached_property
-    def preds(self) -> dict[int, tuple[int, ...]]:
-        """Each vertex's predecessors, ascending."""
-        acc: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            acc[v].append(u)
-        return {v: tuple(sorted(s)) for v, s in acc.items()}
+    def edges(self) -> EdgeView:
+        """Every edge as an ascending ``(u, v)`` pair, read from ``succs``."""
+        return EdgeView(self.succs)
 
     @cached_property
-    def succs(self) -> dict[int, tuple[int, ...]]:
-        """Each vertex's successors, ascending."""
-        acc: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            acc[u].append(v)
-        return {v: tuple(sorted(s)) for v, s in acc.items()}
+    def preds(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's predecessors, ascending, built on first use."""
+        acc: dict[int, list[int]] = {v: [] for v in self.succs}
+        for u, ws in self.succs.items():  # ascending u, so each list comes out sorted
+            for w in ws:
+                acc[w].append(u)
+        for v, us in acc.items():
+            acc[v] = tuple(us)
+        return acc
 
     def in_degree(self, v: int) -> int:
         return len(self.preds[v])
@@ -196,7 +240,7 @@ class Cdag:
         return {}
 
     def _scan(self, mode: str) -> list[str]:
-        loops = sorted(u for u, v in self.edges if u == v)
+        loops = [u for u, ws in self.succs.items() if u in ws]
         violations = [f"self-loop at vertex {u}" for u in loops]
         if self.topological_order is None:
             cyc = self._find_cycle()
@@ -266,7 +310,7 @@ class Cdag:
             labels = {v: s for v, s in self.labels.items() if v in blk} or None
         return Cdag(
             vertices=blk,
-            edges=frozenset((u, v) for u, v in self.edges if u in blk and v in blk),
+            succs={u: tuple([w for w in ws if w in blk]) for u, ws in self.succs.items() if u in blk},
             inputs=self.inputs & blk,
             outputs=self.outputs & blk,
             labels=labels,
@@ -292,7 +336,7 @@ class Cdag:
             raise CdagError(f"already tagged as output: {sorted(do & self.outputs)}")
         return Cdag(
             vertices=self.vertices,
-            edges=self.edges,
+            succs=self.succs,
             inputs=self.inputs | di,
             outputs=self.outputs | do,
             labels=self.labels,

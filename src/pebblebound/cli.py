@@ -88,35 +88,27 @@ class _Run:
             raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
     def fail(self, code: int, error) -> None:
-        """End the run with exit ``code``: one ``error:`` line on stderr."""
-        print(f"error: {error}", file=sys.stderr)
+        """End the run with exit ``code``; :meth:`finish` prints its one ``error:`` line."""
         self.code, self.error = code, error
 
-    def finish(self) -> None:
-        """Append the run record on every exit, then print a successful run's outputs."""
-        # the record goes first: a run whose record cannot be written prints nothing on stdout
+    def finish(self) -> int:
+        """Append the run record on every exit, then print the outcome; returns the exit code.
+
+        A run whose record cannot be written fails with exit 1, or keeps the
+        exit code of its own failure and names the record's error after it.
+        """
+        lost = ""
         if self.record_path:
-            with open(self.record_path, "a", encoding="utf-8") as fh:
-                fh.write("record 1\n")
-                fh.write("command=" + " ".join(self.argv) + "\n")
-                fh.write(f"version={__version__}\n")
-                fh.write(f"walltime={time.monotonic() - self.started:.3f}\n")
-                for path, digest in self.digests:
-                    fh.write(f"input.{path}.sha256={digest}\n")
-                for k, v in self.pairs:
-                    fh.write(f"output.{k}={v}\n")
-                for engine, stats in self.stats:
-                    for f in dataclasses.fields(stats):
-                        fh.write(f"stats.{engine}.{f.name}={getattr(stats, f.name)}\n")
-                fh.write(f"exit={self.code}\n")
-                if self.error is not None:
-                    fh.write(f"error={self.error}\n")
-                    for attr in ("best_known", "lower"):  # BudgetExhaustedError's bracket
-                        value = getattr(self.error, attr, None)
-                        if value is not None:
-                            fh.write(f"error.{attr}={self.render(value)}\n")
-        # a failed run prints nothing here, nor does a command without outputs (report)
-        if self.pairs and self.error is None:
+            try:
+                self._write_record()
+            except OSError as exc:
+                if self.error is None:
+                    self.fail(1, exc)
+                else:
+                    lost = f" (run record not written: {exc})"
+        if self.error is not None:  # a failed run prints nothing on stdout
+            print(f"error: {self.error}{lost}", file=sys.stderr)
+        elif self.pairs:  # a command without outputs (report) prints nothing here
             if self.kv:
                 for k, v in self.pairs:
                     print(f"{k}={v}")
@@ -124,6 +116,35 @@ class _Run:
                 for k, v in self.pairs:
                     print(f"{k} = {v}")
                 print(f"(wall time {time.monotonic() - self.started:.3f}s)")
+        return self.code
+
+    def _write_record(self) -> None:
+        with open(self.record_path, "a", encoding="utf-8") as fh:
+            fh.write("record 1\n")
+            fh.write("command=" + " ".join(self.argv) + "\n")
+            fh.write(f"version={__version__}\n")
+            fh.write(f"walltime={time.monotonic() - self.started:.3f}\n")
+            for path, digest in self.digests:
+                fh.write(f"input.{path}.sha256={digest}\n")
+            for k, v in self.pairs:
+                fh.write(f"output.{k}={v}\n")
+            for engine, stats in self.stats:
+                for f in dataclasses.fields(stats):
+                    fh.write(f"stats.{engine}.{f.name}={getattr(stats, f.name)}\n")
+            fh.write(f"exit={self.code}\n")
+            if self.error is not None:
+                fh.write(f"error={self.error}\n")
+                for attr in ("best_known", "lower"):  # BudgetExhaustedError's bracket
+                    value = getattr(self.error, attr, None)
+                    if value is not None:
+                        fh.write(f"error.{attr}={self.render(value)}\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 a slice at a time, so its encoded bytes never exist whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(text), 1 << 16):
+            fh.write(text[start:start + (1 << 16)])
 
 
 def _emit_report(run: _Run, prefix: str, rep: BoundReport) -> None:
@@ -168,7 +189,7 @@ def cmd_generate(args, run: _Run) -> None:
     from .generators import generate
 
     ann = generate(_params_from_args(args))
-    Path(args.out).write_text(format_cdag(ann.cdag), encoding="utf-8")
+    _write_text(args.out, format_cdag(ann.cdag))
     run.emit("cdag", args.out)
     run.emit("vertices", len(ann.cdag.vertices))
     run.emit("edges", len(ann.cdag.edges))
@@ -176,7 +197,7 @@ def cmd_generate(args, run: _Run) -> None:
     run.emit("outputs", len(ann.cdag.outputs))
     if args.annotations:
         sidecar = Annotations(ann.slabs, ann.wavefront_anchors)
-        Path(args.annotations).write_text(format_annotations(sidecar), encoding="utf-8")
+        _write_text(args.annotations, format_annotations(sidecar))
         run.emit("annotations", args.annotations)
         run.emit("slabs", len(ann.slabs))
         run.emit("anchors", " ".join(str(a) for a in ann.wavefront_anchors))
@@ -228,7 +249,7 @@ def cmd_play(args, run: _Run) -> None:
     run.emit("stores", tally.stores)
     run.emit("io", tally.io)
     if args.trace_out:
-        Path(args.trace_out).write_text(format_trace("rbw", trace), encoding="utf-8")
+        _write_text(args.trace_out, format_trace("rbw", trace))
         run.emit("trace", args.trace_out)
 
 
@@ -442,12 +463,7 @@ def main(argv=None) -> int:
         run.fail(3, exc)
     except (PebbleboundError, OSError) as exc:
         run.fail(1, exc)
-    try:
-        run.finish()
-    except OSError as exc:  # the --record file cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run.code
+    return run.finish()
 
 
 if __name__ == "__main__":

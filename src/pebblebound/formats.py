@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .cdag import Cdag
@@ -38,6 +39,23 @@ def _lines(text: str):
             if line and not line.startswith("#"):
                 yield lineno, line.split()
         start = cut
+
+
+_JOIN = 4096  # lines that _text joins at a time
+
+
+def _text(lines) -> str:
+    """The lines, each ended by ``"\\n"``, as one string.
+
+    The lines are joined one chunk at a time, so only one chunk's line
+    strings are alive at once (the writers' side of :func:`_lines`).
+    """
+    lines = iter(lines)
+    parts = []
+    while chunk := list(islice(lines, _JOIN)):
+        chunk.append("")
+        parts.append("\n".join(chunk))
+    return "".join(parts)
 
 
 def _int(tok: str, lineno: int, what: str = "integer") -> int:
@@ -137,22 +155,25 @@ def parse_cdag(text: str) -> Cdag:
 
 
 def format_cdag(cdag: Cdag) -> str:
-    out = ["cdag 1"]
-    for v in sorted(cdag.vertices):
-        toks = ["v", str(v)]
-        if v in cdag.inputs:
-            toks.append("in")
-        if v in cdag.outputs:
-            toks.append("out")
-        label = cdag.label(v)
-        if label is not None:
-            if _has_space(label):
-                raise FormatError(f"label for vertex {v} contains whitespace: {label!r}")
-            toks.append(f"label={label}")
-        out.append(" ".join(toks))
-    for src, dst in sorted(cdag.edges):
-        out.append(f"e {src} {dst}")
-    return "\n".join(out) + "\n"
+    def lines():
+        yield "cdag 1"
+        for v in cdag.succs:
+            toks = ["v", str(v)]
+            if v in cdag.inputs:
+                toks.append("in")
+            if v in cdag.outputs:
+                toks.append("out")
+            label = cdag.label(v)
+            if label is not None:
+                if _has_space(label):
+                    raise FormatError(f"label for vertex {v} contains whitespace: {label!r}")
+                toks.append(f"label={label}")
+            yield " ".join(toks)
+        for src, dsts in cdag.succs.items():
+            for dst in dsts:
+                yield f"e {src} {dst}"
+
+    return _text(lines())
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +275,16 @@ def _parse_prbw_moves(rows) -> list[PrbwMove]:
 def format_trace(game: str, moves) -> str:
     from .games import PRBW_MOVES, RBW_RULE
 
-    out = [f"trace {game} 1"]
-    for m in moves:
-        if game == "rbw":
-            out.append(f"{RBW_RULE[m.kind]} {m.vertex}")
-        else:
-            rule, fields = PRBW_MOVES[m.kind]
-            out.append(" ".join([rule] + [str(getattr(m, f)) for f in fields]))
-    return "\n".join(out) + "\n"
+    def lines():
+        yield f"trace {game} 1"
+        for m in moves:
+            if game == "rbw":
+                yield f"{RBW_RULE[m.kind]} {m.vertex}"
+            else:
+                rule, fields = PRBW_MOVES[m.kind]
+                yield " ".join([rule] + [str(getattr(m, f)) for f in fields])
+
+    return _text(lines())
 
 
 # ---------------------------------------------------------------------------

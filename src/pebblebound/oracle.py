@@ -242,9 +242,11 @@ class _Space:
         n = len(order)
         pred = [0] * n
         succ = [0] * n
-        for u, v in cdag.edges:
-            pred[idx[v]] |= 1 << idx[u]
-            succ[idx[u]] |= 1 << idx[v]
+        for u, ws in cdag.succs.items():
+            i = idx[u]
+            for v in ws:
+                pred[idx[v]] |= 1 << i
+                succ[i] |= 1 << idx[v]
         self.n, self.pred, self.succ, self.S = n, pred, succ, S
         self.inputs = sum(1 << idx[v] for v in cdag.inputs)
         self.outputs = sum(1 << idx[v] for v in cdag.outputs)
@@ -252,21 +254,26 @@ class _Space:
         self.sinks = sum(1 << i for i in range(n) if not succ[i])
         self.fireable = self.all & ~self.inputs
 
-    def ready(self, candidates: int, available: int) -> list[tuple[int, int]]:
-        """``(v, pred(v))`` for each candidate whose operands are all ``available``."""
-        pred = self.pred
-        return [(b, p) for b in _bits(candidates) if not (p := pred[b.bit_length() - 1]) & ~available]
+    def ready(self, candidates: int, available: int) -> int:
+        """The mask of candidates whose operands are all ``available``."""
+        pred, mask = self.pred, 0
+        for b in _bits(candidates):
+            if not pred[b.bit_length() - 1] & ~available:
+                mask |= b
+        return mask
 
-    def fires(self, red: int, ready: list[tuple[int, int]]):
-        """Yield ``(v, missing, evictions)`` for each ``(v, pred(v))`` in ``ready``.
+    def fires(self, red: int, ready: int):
+        """Yield ``(v, missing, evictions)`` for each vertex ``v`` in the ``ready`` mask.
 
         ``missing`` are the operands to load; ``evictions`` lists every set
         of residents outside pred(v) whose eviction makes exactly enough
         room, as masks (``[0]`` when everything fits).
         """
+        pred = self.pred
         residents = _bits(red)
         free = self.S - 1 - len(residents)
-        for b, p in ready:
+        for b in _bits(ready):
+            p = pred[b.bit_length() - 1]
             missing = p & ~red
             evict = missing.bit_count() - free
             if evict <= 0:
@@ -283,7 +290,7 @@ class _Rbw(_Space):
         super().__init__(cdag, S)
         self.non_outputs = self.all & ~self.outputs
         self._consumed: dict[int, int] = {}
-        self._ready: dict[int, list] = {}
+        self._ready: dict[int, int] = {}
 
     def consumed(self, white: int) -> int:
         """Fired vertices whose successors have all fired; memoized per white set."""

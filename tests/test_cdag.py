@@ -103,6 +103,45 @@ class TestAdjacency:
             assert c.succs[v] == tuple(sorted(w for u, w in c.edges if u == v))
 
 
+class TestEdgeView:
+    """``edges`` is a read-only set view of ``succs``, not a container of its own."""
+
+    PAIRS = [(2, 3), (0, 2), (0, 1), (1, 3)]
+
+    @pytest.fixture
+    def c(self):
+        return Cdag.build(range(4), self.PAIRS, [0], [3], labels={0: "a", 3: "d"})
+
+    def test_length(self, c):
+        assert len(c.edges) == 4
+        assert len(Cdag.build([0]).edges) == 0
+
+    def test_ascending_tuples(self, c):
+        assert list(c.edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert all(type(e) is tuple for e in c.edges)
+
+    @pytest.mark.parametrize("item", [None, (0, 1, 2), (0,), 5, "01", [0, 1], ([0], 1), (0, [1]), (1, 0), (9, 9)])
+    def test_membership_of_a_non_edge_is_false(self, c, item):
+        assert item not in c.edges
+
+    def test_membership(self, c):
+        assert all(e in c.edges for e in self.PAIRS)
+
+    def test_equals_a_frozenset_from_both_sides(self, c):
+        assert c.edges == frozenset(self.PAIRS) and frozenset(self.PAIRS) == c.edges
+        assert c.edges != frozenset(self.PAIRS[1:]) and frozenset(self.PAIRS[1:]) != c.edges
+        assert c.edges - {(0, 1)} == frozenset(self.PAIRS) - {(0, 1)}
+
+    def test_rebuilds_an_equal_cdag(self, c):
+        assert Cdag.build(c.vertices, c.edges, c.inputs, c.outputs, c.labels) == c
+
+    def test_induced_and_retag_keep_the_view(self, c):
+        sub = c.induced({0, 1, 3})
+        assert list(sub.edges) == [(0, 1), (1, 3)] and len(sub.edges) == 2
+        tagged = c.induced({1, 2, 3}).retag([1, 2])
+        assert list(tagged.edges) == [(1, 3), (2, 3)] and tagged.edges == frozenset({(1, 3), (2, 3)})
+
+
 class TestValidate:
     def test_degenerate_single_vertex_hk(self):
         c = Cdag.build([0], [], inputs=[0], outputs=[0])

@@ -542,6 +542,29 @@ class TestRecords:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and str(rec) in err
 
+    def test_unwritable_record_path_after_a_bad_cdag_prints_one_error_line(self, tmp_path, capsys):
+        cdag = tmp_path / "dup.cdag"
+        cdag.write_text("cdag 1\nv 0\nv 1\ne 0 1\ne 0 1\n")
+        rec = tmp_path / "no" / "such" / "dir" / "rec"
+        code, out, err = run_cli(["play", "--cdag", str(cdag), "--S", "2", "--kv", "--record", str(rec)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid CDAG: duplicate edge (0, 1) (run record not written: "
+            f"[Errno 2] No such file or directory: '{rec}')\n"
+        )
+
+    def test_unwritable_record_path_keeps_the_budget_exit_code(self, tmp_path, capsys):
+        cdag = tmp_path / "comp.cdag"
+        run_cli(["generate", "--alg", "composite", "--n", "2", "--out", str(cdag)], capsys)
+        rec = tmp_path / "no" / "such" / "dir" / "rec"
+        code, out, err = run_cli(
+            ["oracle", "--cdag", str(cdag), "--S", "4", "--budget", "100", "--kv", "--record", str(rec)], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.count("error: ") == 1
+        assert err.startswith("error: oracle budget of 100 expansions exhausted (best known upper bound: ")
+        assert err.endswith(f" (run record not written: [Errno 2] No such file or directory: '{rec}')\n")
+
     @pytest.mark.parametrize("flag", [["--kv"], ["--record", "x.rec"]])
     def test_report_takes_no_kv_or_record(self, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -155,6 +155,12 @@ class TestMemory:
         _, adjacency, _ = _traced(lambda: (cdag.preds, cdag.succs))
         assert adjacency <= 0.5 * size
 
+    def test_parse_cdag_retains_under_100_bytes_an_edge(self, texts):
+        # the successor tuples are the one edge container (about 71 bytes
+        # an edge here); a second container of edge tuples does not fit
+        cdag, size, _ = _traced(lambda: parse_cdag(texts[0]))
+        assert size <= 100 * len(cdag.edges)
+
 
 # every separator str.splitlines() knows, "\r\n" as one of them
 _SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -175,6 +181,27 @@ class TestLines:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(formats, "_CHUNK", chunk)
             assert list(formats._lines(text)) == expected
+
+
+class TestText:
+    """The writers join their lines a chunk at a time, with the bytes of one join."""
+
+    @given(st.lists(st.sampled_from(["", " ", "e 0 1", "v 12 in label=x", "#"]), min_size=1), st.integers(1, 7))
+    def test_chunks_keep_the_bytes_of_one_join(self, lines, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_JOIN", chunk)
+            assert formats._text(iter(lines)) == "\n".join(lines) + "\n"
+
+    @given(small_dags(tag_outputs=True), st.integers(1, 7))
+    @settings(max_examples=50, deadline=None)
+    def test_writers_at_every_chunk_size(self, c, chunk):
+        trace = heuristic_game(c, 8)[0]
+        prbw = [PrbwMove("Input", 1, unit=0), PrbwMove("MoveUp", 1, level=1, unit=0)] * 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_JOIN", 10**9)
+            reference = format_cdag(c), format_trace("rbw", trace), format_trace("prbw", prbw)
+            mp.setattr(formats, "_JOIN", chunk)
+            assert (format_cdag(c), format_trace("rbw", trace), format_trace("prbw", prbw)) == reference
 
 
 class TestAnnotations:
