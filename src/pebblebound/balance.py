@@ -28,12 +28,20 @@ Number = Union[Fraction, float]
 VERDICTS = ("provably-bandwidth-bound", "not-bandwidth-bound-achievable", "inconclusive")
 
 
+def _require_positive_finite(**figures) -> None:
+    """Reject a balance or raw figure that is set but not a positive finite number."""
+    for name, value in figures.items():
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise BoundError(f"{name} must be a positive finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CacheLevel:
     """One cache level: capacity in words, sharing degree, optional balance.
 
     ``balance`` is the words-per-flop ratio for traffic between this level
-    and the next one down (toward the processors), when known.
+    and the next one down (toward the processors), when known; a known
+    balance is a positive finite number.
     """
 
     name: str
@@ -44,6 +52,7 @@ class CacheLevel:
     def __post_init__(self):
         if self.capacity_words < 1 or self.shared_by < 1:
             raise BoundError("cache capacity and sharing degree must be >= 1")
+        _require_positive_finite(balance=self.balance)
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,8 @@ class MachineSpec:
     The stated balance ratios are authoritative.  When the raw peak
     figures are also given (``raw_vertical_bw`` in words/s per node,
     ``raw_flops_per_core`` in flop/s), the derived ratio must agree with
-    the stated one within 1%; they exist as a cross-check only.
+    the stated one within 1%; they exist as a cross-check only.  Every
+    balance and raw figure that is set is a positive finite number.
     """
 
     name: str
@@ -67,8 +77,12 @@ class MachineSpec:
     raw_flops_per_core: Optional[float] = None
 
     def __post_init__(self):
-        if self.vertical_balance <= 0 or self.horizontal_balance <= 0:
-            raise BoundError("balance ratios must be positive")
+        _require_positive_finite(
+            vertical_balance=self.vertical_balance,
+            horizontal_balance=self.horizontal_balance,
+            raw_vertical_bw=self.raw_vertical_bw,
+            raw_flops_per_core=self.raw_flops_per_core,
+        )
         if self.n_nodes < 1 or self.n_cores < 1 or self.mem_words < 1:
             raise BoundError("node, core, and memory sizes must be >= 1")
         if self.raw_vertical_bw is not None and self.raw_flops_per_core is not None:

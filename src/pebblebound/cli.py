@@ -7,7 +7,7 @@ A failed run prints one ``error: ...`` line on stderr and nothing on stdout.
 Two output streams: the default human-readable text (which may mention
 wall time), and ``--kv``, a deterministic line-oriented ``key=value``
 stream that is byte-identical across runs on identical inputs.  With
-``--record PATH`` every command but ``report`` appends a run record, on
+``--record PATH`` every command appends a run record, on
 every exit, carrying the command line, sha256 digests of every file
 input, its outputs, ``stats.<engine>.<counter>`` lines for engines that
 count their work, the exit code and, on failure, the error (records only,
@@ -47,8 +47,8 @@ class _Run:
         from .reports import render  # formats every output value
 
         self.render = render
-        self.kv = bool(getattr(args, "kv", False))
-        self.record_path = getattr(args, "record", None)
+        self.kv = args.kv
+        self.record_path = args.record
         self.argv = argv
         self.pairs: list[tuple[str, str]] = []
         self.digests: list[tuple[str, str]] = []
@@ -70,18 +70,13 @@ class _Run:
         self.stats.append((engine, stats))
         return stats
 
-    def digest(self, path: str) -> bytes:
-        """An input file's bytes, read once; with ``--record``, their sha256 goes to the record."""
+    def read(self, path: str) -> str:
+        """An input file's UTF-8 text, read once; with ``--record``, its sha256 goes to the record."""
         data = Path(path).read_bytes()
         if self.record_path:
             import hashlib
 
             self.digests.append((path, hashlib.sha256(data).hexdigest()))
-        return data
-
-    def read(self, path: str) -> str:
-        """An input file's UTF-8 text, digested for the record."""
-        data = self.digest(path)
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -108,14 +103,13 @@ class _Run:
                     lost = f" (run record not written: {exc})"
         if self.error is not None:  # a failed run prints nothing on stdout
             print(f"error: {self.error}{lost}", file=sys.stderr)
-        elif self.pairs:  # a command without outputs (report) prints nothing here
-            if self.kv:
-                for k, v in self.pairs:
-                    print(f"{k}={v}")
-            else:
-                for k, v in self.pairs:
-                    print(f"{k} = {v}")
-                print(f"(wall time {time.monotonic() - self.started:.3f}s)")
+        elif self.kv:
+            for k, v in self.pairs:
+                print(f"{k}={v}")
+        else:
+            for k, v in self.pairs:
+                print(f"{k} = {v}")
+            print(f"(wall time {time.monotonic() - self.started:.3f}s)")
         return self.code
 
     def _write_record(self) -> None:
@@ -354,13 +348,6 @@ def _emit_analysis(run: _Run, report: AnalysisReport, level=None) -> None:
         run.emit(f"threshold.{name}.published", f"{thr.published:.4g}")
 
 
-def cmd_report(args, run: _Run) -> None:
-    for path in args.records:
-        text = run.read(path)
-        print(f"# {path}")
-        print(text.rstrip())
-
-
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -375,15 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"pebblebound {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--kv", action="store_true", help="deterministic key=value output")
-        p.add_argument("--record", default=None, help="append a run record to this file")
-
     p = sub.add_parser("generate", help="emit a CDAG file plus annotation sidecar")
     _add_alg_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--annotations", default=None)
-    common(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("validate", help="check a trace and print its I/O tally")
@@ -392,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", type=int, default=None)
     p.add_argument("--game", choices=("rb", "rbw"), default="rbw")
     p.add_argument("--hier", default=None)
-    common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("play", help="run the heuristic player for an upper bound")
     p.add_argument("--cdag", required=True)
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--trace-out", dest="trace_out", default=None)
-    common(p)
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("oracle", help="exact optimum by exhaustive search")
@@ -413,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on search expansions; an expansion is a macro move (one fire with its loads,"
         " evictions and stores), so each costs more than a single move",
     )
-    common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bound", help="run a lower-bound engine")
@@ -433,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alg", choices=ALGORITHMS, default=None)
     _add_alg_flags(p, with_alg=False)
-    common(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("analyze", help="machine-balance verdicts for an algorithm")
@@ -444,12 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="shipped machine name (bgq, crayxt5) or spec file path; pass ./bgq to read a local file named bgq",
     )
     p.add_argument("--level", choices=("vertical", "horizontal"), default=None)
-    common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("report", help="print previously recorded run records")
-    p.add_argument("records", nargs="+")
-    p.set_defaults(func=cmd_report)
+    for p in sub.choices.values():
+        p.add_argument("--kv", action="store_true", help="deterministic key=value output")
+        p.add_argument("--record", default=None, help="append a run record to this file")
     return top
 
 

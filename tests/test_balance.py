@@ -8,6 +8,7 @@ from pebblebound import (
     AlgorithmParams,
     BoundError,
     BoundReport,
+    CacheLevel,
     PebbleboundError,
     analyze,
     check_horizontal,
@@ -206,6 +207,27 @@ class TestMachineLoading:
     def test_unknown_name(self):
         with pytest.raises(BoundError):
             load_machine("enigma")
+
+
+class TestSpecFigures:
+    """A spec built in code holds only figures that ``format_machine`` can write back."""
+
+    BAD = [0, -1, math.inf, math.nan]
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize(
+        "field", ["vertical_balance", "horizontal_balance", "raw_vertical_bw", "raw_flops_per_core"]
+    )
+    def test_machine_figure_rejected(self, field, value, bgq):
+        from dataclasses import replace
+
+        with pytest.raises(BoundError, match=f"^{field} must be a positive finite number, got "):
+            replace(bgq, **{field: value})
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_cache_balance_rejected(self, value):
+        with pytest.raises(BoundError, match="^balance must be a positive finite number, got "):
+            CacheLevel("L2", 1024, balance=value)
 
 
 class TestRawCrossCheck:

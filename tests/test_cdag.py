@@ -34,6 +34,19 @@ class TestBuild:
         with pytest.raises(CdagError, match="input"):
             Cdag.build([0], [], inputs=[3])
 
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            ({"inputs": [9, 0, 5]}, "unknown input vertices: [5, 9]"),
+            ({"outputs": [1, 7, 3]}, "unknown output vertices: [3, 7]"),
+            ({"labels": {8: "x", 0: "a", 4: "y"}}, "labels reference unknown vertices: [4, 8]"),
+        ],
+    )
+    def test_unknown_tag_ids_listed_in_order(self, tags, message):
+        with pytest.raises(CdagError) as exc:
+            Cdag.build(range(2), [(0, 1)], **tags)
+        assert str(exc.value) == message
+
     def test_rejects_float_edge_endpoint(self):
         # int() would truncate 0.9 to vertex 0 and build the edge (0, 1)
         with pytest.raises(CdagError) as err:

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,10 @@ from pebblebound import (
     optimal_io,
 )
 from pebblebound.formats import format_machine, parse_cdag
-from pebblebound.cli import main
+from pebblebound.cli import build_parser, main
+
+
+SUBCOMMANDS = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def run_cli(args, capsys):
@@ -491,14 +495,6 @@ class TestRecords:
         ]
         assert int(stats["stats.flow.anchors"]) > int(stats["stats.flow.anchors_skipped"]) > 0
 
-    def test_report_prints_records(self, jacobi_files, tmp_path, capsys):
-        cdag, _, _ = jacobi_files
-        rec = tmp_path / "runs.rec"
-        run_cli(["oracle", "--cdag", str(cdag), "--S", "4", "--kv", "--record", str(rec)], capsys)
-        code, out, _ = run_cli(["report", str(rec)], capsys)
-        assert code == 0
-        assert "output.optimum=12" in out
-
     def test_budget_exit_3_writes_record_with_counters_and_bracket(self, jacobi_files, tmp_path, capsys):
         cdag, _, _ = jacobi_files
         rec = tmp_path / "r.rec"
@@ -565,11 +561,27 @@ class TestRecords:
         assert err.startswith("error: oracle budget of 100 expansions exhausted (best known upper bound: ")
         assert err.endswith(f" (run record not written: [Errno 2] No such file or directory: '{rec}')\n")
 
-    @pytest.mark.parametrize("flag", [["--kv"], ["--record", "x.rec"]])
-    def test_report_takes_no_kv_or_record(self, flag, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["report"] + flag + [str(tmp_path / "runs.rec")])
-        assert exc.value.code == 2
+    # one failing run per command: a non-UTF-8 file wherever the command reads one
+    FAILING_RUNS = {
+        "generate": ["--alg", "jacobi", "--n", "4", "--out", "no/such/dir/jac.cdag"],
+        "validate": ["--cdag", "bad", "--trace", "bad", "--S", "2"],
+        "play": ["--cdag", "bad", "--S", "2"],
+        "oracle": ["--cdag", "bad", "--S", "2"],
+        "bound": ["--method", "spart", "--cdag", "bad", "--S", "2"],
+        "analyze": ["--alg", "cg", "--machine", "bad"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_every_command_fails_with_one_error_line_and_a_record(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad").write_bytes(b"cdag 1\n\xff\n")
+        argv = [command] + self.FAILING_RUNS[command] + ["--kv", "--record", "runs.rec"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        lines = (tmp_path / "runs.rec").read_text().splitlines()
+        assert "exit=1" in lines
+        assert "error=" + err[len("error: "):-1] in lines
 
 
 class TestUnreadableInput:
@@ -584,7 +596,7 @@ class TestUnreadableInput:
         return str(path)
 
     @pytest.mark.parametrize(
-        "argv", [["play", "--S", "4", "--cdag"], ["report"], ["analyze", "--alg", "cg", "--machine"]]
+        "argv", [["play", "--S", "4", "--cdag"], ["analyze", "--alg", "cg", "--machine"]]
     )
     def test_exit_1_with_one_error_line(self, argv, bad_path):
         proc = subprocess.run(
