@@ -596,7 +596,12 @@ class TestUnreadableInput:
         return str(path)
 
     @pytest.mark.parametrize(
-        "argv", [["play", "--S", "4", "--cdag"], ["analyze", "--alg", "cg", "--machine"]]
+        "argv",
+        [
+            ["play", "--S", "4", "--cdag"],
+            ["oracle", "--S", "4", "--cdag"],
+            ["analyze", "--alg", "cg", "--machine"],
+        ],
     )
     def test_exit_1_with_one_error_line(self, argv, bad_path):
         proc = subprocess.run(
